@@ -71,16 +71,23 @@ def _load_config(path: str) -> Dict:
         raise ConfigError(f"cannot read config {path}: {e}")
 
 
+def _num(x) -> Fraction:
+    try:
+        return frac(x)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"not an exact rational: {x!r}") from e
+
+
 def _vec(data) -> Tuple[Fraction, ...]:
-    return tuple(frac(x) for x in data)
+    return tuple(_num(x) for x in data)
 
 
 def _build_support(cfg: Dict) -> SupportModel:
     d = cfg.get("decay", {})
     decay = DecayParams(
-        C=frac(d.get("C", 1)),
-        gamma=frac(d.get("gamma", 1)),
-        rho0=frac(d["rho0"]) if "rho0" in d else None,
+        C=_num(d.get("C", 1)),
+        gamma=_num(d.get("gamma", 1)),
+        rho0=_num(d["rho0"]) if "rho0" in d else None,
         ambient_dim=int(cfg.get("dim", 1)),
     )
     kind = cfg.get("kind", "euclidean")
@@ -88,7 +95,7 @@ def _build_support(cfg: Dict) -> SupportModel:
         return SupportModel.euclidean(int(cfg.get("dim", 1)), decay)
     if kind == "ifs":
         maps = [
-            Similarity(frac(r), _vec(t))
+            Similarity(_num(r), _vec(t))
             for r, t in zip(cfg["ratios"], cfg["translations"])
         ]
         return SupportModel.ifs(maps, _vec(cfg["box_lo"]), _vec(cfg["box_hi"]), decay)
@@ -114,20 +121,41 @@ def _build_targets(cfg: Dict) -> TargetFamily:
         return TargetFamily.lattice(_vec(cfg["base"]))
     if kind == "explicit":
         pts = {int(k): [_vec(p) for p in v] for k, v in cfg["points"].items()}
-        return TargetFamily.explicit(pts, frac(cfg["delta"]))
+        return TargetFamily.explicit(pts, _num(cfg["delta"]))
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
 def _entry(e) -> ba.Entry:
     if isinstance(e, dict):
         return ba.AlgebraicReal(
-            tuple(int(c) for c in e["poly"]), frac(e["lo"]), frac(e["hi"])
+            tuple(int(c) for c in e["poly"]), _num(e["lo"]), _num(e["hi"])
         )
-    return frac(e)
+    return _num(e)
 
 
 def _build_affine(cfg: Dict) -> ba.AffineSystem:
     return ba.AffineSystem(tuple(tuple(_entry(e) for e in row) for row in cfg["A"]))
+
+
+def _build_game(
+    game: Dict, dim: int
+) -> Tuple[Fraction, Fraction, Variant, Fraction, Tuple[Fraction, ...]]:
+    """(alpha, beta, variant, radius, center) of a game section played on a
+    support of dimension `dim`."""
+    alpha, beta = _num(game["alpha"]), _num(game["beta"])
+    try:
+        variant = Variant(game.get("variant", "classic"))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    rho = _num(game["radius"])
+    if rho <= 0:
+        raise ConfigError(f"radius must be positive, got {format_frac(rho)}")
+    center = _vec(game["center"])
+    if len(center) != dim:
+        raise ConfigError(
+            f"center has dimension {len(center)} but the support has dimension {dim}"
+        )
+    return alpha, beta, variant, rho, center
 
 
 def _seed(args) -> int:
@@ -161,16 +189,13 @@ def _k_max(seq: MatrixSequence, cap: Fraction) -> int:
 def cmd_play(args) -> int:
     cfg = _load_config(args.config)
     game = cfg["game"]
-    alpha, beta = frac(game["alpha"]), frac(game["beta"])
-    variant = Variant(game.get("variant", "classic"))
-    rho = frac(game["radius"])
-    center = _vec(game["center"])
+    support = _build_support(cfg["support"])
+    alpha, beta, variant, rho, center = _build_game(game, support.dim)
     epochs = args.epochs or int(game.get("epochs", 1))
     mode = args.mode or cfg.get("strategy", {}).get("mode", "certified")
-    support = _build_support(cfg["support"])
     seq = _build_sequence(cfg["sequence"])
     targets = _build_targets(cfg["targets"])
-    Q = frac(cfg.get("Q", 2))
+    Q = _num(cfg.get("Q", 2))
     delta = targets.delta
     seed = _seed(args)
 
@@ -254,7 +279,10 @@ def cmd_analyze_seq(args) -> int:
         "note": report.note,
     }
     if args.jordan and seq.kind == "powers":
-        out["jordan"] = jordan_dominance_check(seq.base, horizon)
+        try:
+            out["jordan"] = jordan_dominance_check(seq.base, horizon)
+        except ValueError as e:
+            raise ConfigError(f"--jordan: {e}") from e
     print(json.dumps(out))
     return EXIT_OK
 
@@ -318,14 +346,11 @@ def cmd_badapprox(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     game = cfg["game"]
-    alpha, beta = frac(game["alpha"]), frac(game["beta"])
-    variant = Variant(game.get("variant", "classic"))
     support = _build_support(cfg["support"])
+    alpha, beta, variant, rho, center = _build_game(game, support.dim)
     seq = _build_sequence(cfg["sequence"])
     targets = _build_targets(cfg["targets"])
-    Q = frac(cfg.get("Q", 2))
-    rho = frac(game["radius"])
-    center = _vec(game["center"])
+    Q = _num(cfg.get("Q", 2))
     epochs = args.epochs or int(game.get("epochs", 1))
     transcript = load_transcript(args.transcript)
     checks: List[str] = []

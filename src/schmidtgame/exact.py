@@ -76,11 +76,6 @@ class Interval:
         x = Fraction(x)
         return Interval(x, x)
 
-    @staticmethod
-    def make(a: RatLike, b: RatLike) -> "Interval":
-        a, b = Fraction(a), Fraction(b)
-        return Interval(min(a, b), max(a, b))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -143,11 +138,6 @@ class Interval:
 
     def certainly_ge(self, x: RatLike) -> bool:
         return self.lo >= x
-
-    def rel_width(self) -> Fraction:
-        if self.lo <= 0:
-            raise ValueError("relative width needs a positive interval")
-        return self.width / self.lo
 
     def __float__(self) -> float:
         return float(self.mid)

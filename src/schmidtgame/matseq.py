@@ -1,12 +1,20 @@
 """Matrix sequences: certified operator norms, lacunarity, Kronecker orders.
 
-Certification never relies on floating point: eigenvalue bounds come from
-exact characteristic polynomials plus Sturm-sequence root counting, with
-float eigensolvers used only to seed good rational guesses.  The spectral
-radius test for power sequences goes through the resultant trick: the
-squared moduli |z_i|^2 of the eigenvalues are among the real roots of
-Res_x(p(x), x^d p(y/x)), so "radius <= 1" reduces to counting real roots
-above 1.
+Certification never relies on floating point; float eigensolvers only seed
+good rational guesses.  The top eigenvalue of A = M^T M is enclosed between
+the Rayleigh quotient r of a rationalised float eigenvector and a slightly
+larger u, and certified by inertia (Sylvester's law): an exact LDL^T
+factorisation of r*I - A with a negative pivot puts the top eigenvalue
+above r, and one of u*I - A with positive pivots puts it below u.  Only what
+that leaves undecided, such as a zero pivot, falls back to the exact
+characteristic polynomial and Sturm-sequence root counting.  A sequence
+computes ||M_k||_op alone and builds the top direction, from the cached
+enclosure, only when asked for it.
+
+The spectral radius test for power sequences goes through the resultant
+trick: the squared moduli |z_i|^2 of the eigenvalues are among the real
+roots of Res_x(p(x), x^d p(y/x)), so "radius <= 1" reduces to counting real
+roots above 1.
 """
 
 from __future__ import annotations
@@ -453,28 +461,37 @@ def _normalize_direction(entries: List[Interval]) -> Tuple[Interval, ...]:
     return tuple(out)
 
 
-def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interval, ...]]:
-    """Certified enclosure of the largest singular value and a top direction.
-
-    Returns (t, v) with t enclosing ||M||_op at relative width < 2^-rel_bits
-    and v a unit top right singular direction, sign-normalized so the first
-    certainly-nonzero coordinate is positive.
-    """
-    M = as_matrix(M)
-    rows, cols = mat_shape(M)
+def _gram_top_eigenvalue(M: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
+    """Enclose the top eigenvalue of M^T M; flag exact rationals."""
     if all(x == 0 for row in M for x in row):
         raise ValueError("zero matrix has no direction")
-    if rows == 1:
+    if len(M) == 1:
+        return Interval.point(norm2(M[0])), True
+    return _top_eigenvalue(mat_mul(transpose(M), M), rel_bits)
+
+
+def _singular_value(lam: Interval, exact: bool) -> Interval:
+    """Enclosure of sqrt(lam), the top singular value."""
+    if exact:
+        return sqrt_interval(lam.lo)
+    return Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi)
+
+
+def _top_direction(
+    M: Matrix, lam: Interval, exact: bool, rel_bits: int
+) -> Tuple[Interval, ...]:
+    """Unit top right singular direction of M, given the enclosure of the
+    top eigenvalue of M^T M; any refinement the adjugate needs stays local
+    to the direction."""
+    if len(M) == 1:
         row = M[0]
-        t = sqrt_interval(norm2(row))
         first = next(x for x in row if x != 0)
         if first < 0:
             row = tuple(-x for x in row)
-        v = tuple(Interval.point(x) / t for x in row)
-        return t, v
+        t = sqrt_interval(lam.lo)
+        return tuple(Interval.point(x) / t for x in row)
     A = mat_mul(transpose(M), M)
     n = len(A)
-    lam, exact = _top_eigenvalue(A, rel_bits)
     if exact:
         basis = kernel_basis(
             mat_sub(A, tuple(tuple(lam.lo if i == j else Fraction(0) for j in range(n)) for i in range(n)))
@@ -486,9 +503,7 @@ def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interva
         if first < 0:
             b = tuple(-x for x in b)
         nrm = sqrt_interval(norm2(b))
-        v = tuple(Interval.point(x) / nrm for x in b)
-        t = sqrt_interval(lam.lo)
-        return t, v
+        return tuple(Interval.point(x) / nrm for x in b)
     # irrational top eigenvalue: adjugate columns of (A - lambda I)
     adj = _poly_matrix_adjugate(A)
     for attempt in range(6):
@@ -499,9 +514,7 @@ def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interva
             cols_iv.append((score, col))
         score, col = max(cols_iv, key=lambda t: t[0])
         if score > 0:
-            v = _normalize_direction(col)
-            t = Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi)
-            return t, v
+            return _normalize_direction(col)
         lam = _refine_eigenvalue(A, lam, rel_bits * (2 + attempt))
     raise DegenerateDirection(
         "could not certify a nonzero adjugate column; top singular value "
@@ -509,27 +522,72 @@ def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interva
     )
 
 
-def _top_eigenvalue(A: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
-    """Enclose the top eigenvalue of symmetric PSD A; flag exact rationals."""
+def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interval, ...]]:
+    """Certified enclosure of the largest singular value and a top direction.
+
+    Returns (t, v) with t enclosing ||M||_op at relative width < 2^-rel_bits
+    and v a unit top right singular direction, sign-normalized so the first
+    certainly-nonzero coordinate is positive.
+    """
+    M = as_matrix(M)
+    lam, exact = _gram_top_eigenvalue(M, rel_bits)
+    return _singular_value(lam, exact), _top_direction(M, lam, exact, rel_bits)
+
+
+def ldlt_sign(A: Matrix, x: Fraction) -> int:
+    """Definiteness of x*I - A for symmetric A, by exact LDL^T without pivoting.
+
+    Returns 1 when every pivot is positive (x*I - A is positive definite, so
+    x exceeds every eigenvalue of A), -1 when the first non-positive pivot is
+    negative (x*I - A has a negative eigenvalue by Sylvester's law of inertia
+    and Cauchy interlacing, so some eigenvalue of A exceeds x), and 0 when a
+    zero pivot leaves the question undecided.
+    """
     n = len(A)
-    p = charpoly(A)
+    S = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        d = S[k][k]
+        if d <= 0:
+            return -1 if d < 0 else 0
+        for i in range(k + 1, n):
+            f = S[i][k] / d
+            if f:
+                for j in range(k + 1, n):
+                    S[i][j] -= f * S[k][j]
+    return 1
+
+
+def _top_eigenvalue(A: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
+    """Enclose the top eigenvalue of symmetric PSD A; flag exact rationals.
+
+    The Rayleigh quotient of a rationalised float eigenvector is a lower
+    bound; two inertia tests certify the enclosure.  Whatever they leave
+    undecided goes to the characteristic polynomial and Sturm chains.
+    """
+    n = len(A)
     if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
         lam = max(A[i][i] for i in range(n))
         return Interval.point(lam), True
     lam_f, u_f = _float_top_eig(A)
     u = tuple(Fraction(x).limit_denominator(10 ** 17) for x in u_f)
     uu = norm2(u)
-    chain = sturm_chain(p)
-    bound = cauchy_bound(p) + 1
+    rayleigh = upper = None
     if uu > 0:
         rayleigh = sum(
             u[i] * A[i][j] * u[j] for i in range(n) for j in range(n)
         ) / uu
-        if poly_eval(p, rayleigh) == 0 and sturm_count(chain, rayleigh, bound) == 0:
-            return Interval.point(rayleigh), True
         upper = rayleigh * (1 + Fraction(1, 1 << rel_bits)) + Fraction(
             1, 1 << (2 * rel_bits)
         )
+        # a negative pivot puts the top eigenvalue strictly above rayleigh
+        if rayleigh > 0 and ldlt_sign(A, rayleigh) < 0 and ldlt_sign(A, upper) > 0:
+            return Interval(rayleigh, upper), False
+    p = charpoly(A)
+    chain = sturm_chain(p)
+    bound = cauchy_bound(p) + 1
+    if uu > 0:
+        if poly_eval(p, rayleigh) == 0 and sturm_count(chain, rayleigh, bound) == 0:
+            return Interval.point(rayleigh), True
         if rayleigh > 0 and sturm_count(chain, upper, bound) == 0:
             if sturm_count(chain, rayleigh, upper) > 0 or poly_eval(p, upper) == 0:
                 return Interval(rayleigh, upper), False
@@ -568,6 +626,7 @@ class MatrixSequence:
     matrices: Optional[List[Matrix]] = None
     _pow_cache: List[Matrix] = field(default_factory=list, repr=False)
     _t_cache: Dict[int, Interval] = field(default_factory=dict, repr=False)
+    _eig_cache: Dict[int, Tuple[Interval, bool]] = field(default_factory=dict, repr=False)
     _v_cache: Dict[int, Tuple[Interval, ...]] = field(default_factory=dict, repr=False)
 
     @staticmethod
@@ -630,35 +689,20 @@ class MatrixSequence:
         return self.matrices[k - 1]
 
     def t(self, k: int) -> Interval:
+        """||M_k||_op, certified; the top direction is not computed."""
         if k not in self._t_cache:
-            t, v = operator_norm(self.matrix(k))
-            self._t_cache[k] = t
-            self._v_cache[k] = v
+            lam, exact = _gram_top_eigenvalue(self.matrix(k), _REL_BITS)
+            self._eig_cache[k] = lam, exact
+            self._t_cache[k] = _singular_value(lam, exact)
         return self._t_cache[k]
 
     def v(self, k: int) -> Tuple[Interval, ...]:
+        """Top right singular direction of M_k, from the cached eigenvalue."""
         if k not in self._v_cache:
             self.t(k)
+            lam, exact = self._eig_cache[k]
+            self._v_cache[k] = _top_direction(self.matrix(k), lam, exact, _REL_BITS)
         return self._v_cache[k]
-
-
-def log_norm_sequence(M, horizon: int) -> List[float]:
-    """log ||M^k||_op for k = 1..horizon via multiply-and-renormalize."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    M = as_matrix(M)
-    base = np.array([[float(x) for x in row] for row in M], dtype=float)
-    acc = base.copy()
-    shift = 0.0
-    out = []
-    for _ in range(horizon):
-        out.append(shift + math.log(np.linalg.norm(acc, 2)))
-        acc = acc @ base
-        s = np.abs(acc).max()
-        if s > 0:
-            acc /= s
-            shift += math.log(s)
-    return out
 
 
 @dataclass(frozen=True)

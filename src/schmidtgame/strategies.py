@@ -566,18 +566,6 @@ class Theorem42Alice:
         return ball, ann
 
 
-def alice_theorem42(
-    params: ScheduleParams,
-    seq: MatrixSequence,
-    targets: TargetFamily,
-    K: SupportModel,
-    alpha: Fraction,
-    beta: Fraction,
-) -> Theorem42Alice:
-    rep_note = params  # parameters already validated by schedule_params
-    return Theorem42Alice(rep_note, seq, targets, K, alpha, beta)
-
-
 class CenteredAlice:
     """Keeps the center, shrinking at the required rate."""
 

@@ -72,6 +72,29 @@ class TestPlay:
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["play", "--config", str(tmp_path / "nope.json")]) == 4
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", "abc", "not an exact rational"),
+            ("radius", "-1/40", "radius must be positive"),
+            ("center", ["1/6", "1/6"], "center has dimension 2"),
+            ("variant", "bogus", "not a valid Variant"),
+        ],
+    )
+    def test_malformed_game_exit_4(self, tmp_path, capsys, field, value, message):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg["game"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path)],
+            ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+        ):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+
 
 class TestVerify:
     def test_round_trip(self, tmp_path, capsys):
@@ -122,6 +145,17 @@ class TestAnalyzeSeq:
         out = json.loads(capsys.readouterr().out)
         assert out["lacunary"] is True
         assert out["decomposition"] == [1, 1]
+
+    def test_jordan_needs_single_block_exit_4(self, capsys):
+        argv = ["analyze-seq", "--config", config("dim2_classic.json"), "--jordan"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Jordan block" in err
+
+    def test_jordan_readme_example(self, capsys):
+        argv = ["analyze-seq", "--config", config("pow3_classic.json"), "--jordan"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["jordan"]["ok"] is True
 
 
 class TestEstimateDecay:

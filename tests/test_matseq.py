@@ -1,12 +1,17 @@
 """Matrix sequences: exact linear algebra, certified norms, lacunarity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from schmidtgame import matseq
+from schmidtgame.exact import Interval
 from schmidtgame.matseq import (
+    DegenerateDirection,
     MatrixSequence,
     analyze_lacunarity,
+    cauchy_bound,
     charpoly,
     determinant,
     identity,
@@ -14,11 +19,14 @@ from schmidtgame.matseq import (
     jordan_dominance_check,
     kernel_basis,
     kronecker_order,
+    ldlt_sign,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
     operator_norm,
+    poly_divmod,
+    poly_eval,
     rref,
     solve_square,
     spectral_radius_gt_one,
@@ -91,6 +99,147 @@ class TestOperatorNorm:
     def test_row_vector(self):
         enc, _ = operator_norm(((F(3), F(4)),))
         assert enc.lo <= F(5) <= enc.hi
+
+    def test_rational_top_eigenvalue_is_exact(self):
+        # M^T M = [[5, 4], [4, 5]]: the Rayleigh quotient is 9 itself, so
+        # 9*I - M^T M has a zero pivot and the fallback proves 9 exact
+        enc, _ = operator_norm(((F(2), F(1)), (F(1), F(2))))
+        assert enc == Interval.point(3)
+
+
+def _rational_orthogonal(S):
+    """Cayley transform (I - S)(I + S)^-1 of a skew-symmetric S."""
+    n = len(S)
+    I = identity(n)
+    plus = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(I, S))
+    cols = [solve_square(plus, I[j]) for j in range(n)]
+    return mat_mul(mat_sub(I, S), transpose(tuple(cols)))
+
+
+def _squarefree_sturm(p):
+    """(p / gcd(p, p'), its Sturm chain, a bound above its roots).
+
+    Sturm counts are only sound at simple roots, so reference counts use
+    the squarefree part; gcd(p, p') is the last member of p's chain."""
+    p, _ = poly_divmod(p, sturm_chain(p)[-1])
+    return p, sturm_chain(p), cauchy_bound(p) + 1
+
+
+def _symmetric_cases(seed):
+    """(A, shifts) pairs: dense integer A with irrational eigenvalues, and
+    Q D Q^T with rational eigenvalues D, some of them zero (singular A)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(12):
+        n = rng.choice((2, 3, 4))
+        B = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        A = tuple(tuple(B[i][j] + B[j][i] for j in range(n)) for i in range(n))
+        shifts = [F(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(6)]
+        cases.append((A, [A[0][0]] + shifts))
+    for _ in range(12):
+        n = rng.choice((2, 3))
+        S = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                S[i][j] = F(rng.randint(-3, 3), rng.randint(1, 3))
+                S[j][i] = -S[i][j]
+        Q = _rational_orthogonal(tuple(tuple(r) for r in S))
+        D = [F(rng.choice((0, 0, 1, 2, 5, -3)), rng.randint(1, 2)) for _ in range(n)]
+        diag = tuple(tuple(D[i] if i == j else F(0) for j in range(n)) for i in range(n))
+        A = mat_mul(mat_mul(Q, diag), transpose(Q))
+        cases.append((A, [A[0][0], max(D), min(D), F(0)] + D + [max(D) + F(1, 1000)]))
+    return cases
+
+
+class TestInertia:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_agrees_with_sturm(self, seed):
+        seen = set()
+        for A, shifts in _symmetric_cases(seed):
+            assert transpose(A) == A
+            p, chain, bound = _squarefree_sturm(charpoly(A))
+            for x in shifts:
+                sign = ldlt_sign(A, x)
+                above = sturm_count(chain, x, bound) > 0
+                root = poly_eval(p, x) == 0
+                seen.add((sign, above, root))
+                if not above:
+                    # x*I - A is semidefinite, and definite unless x is an eigenvalue
+                    assert sign == (0 if root else 1)
+                else:
+                    assert sign in (-1, 0)
+        # the cases reach every outcome, including an undecided zero pivot on
+        # an indefinite matrix
+        outcomes = {(1, False, False), (0, False, True), (-1, True, False), (0, True, False)}
+        assert outcomes <= seen
+
+    def test_zero_leading_pivot(self):
+        A = ((F(0), F(1)), (F(1), F(0)))
+        assert ldlt_sign(A, F(0)) == 0
+        assert ldlt_sign(A, F(1)) == 0
+        assert ldlt_sign(A, F(1, 2)) == -1
+        assert ldlt_sign(A, F(3, 2)) == 1
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(matseq, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matseq, name, wrapper)
+    return calls
+
+
+DENSE = ((F(2), F(1), F(0)), (F(1), F(1), F(1)), (F(0), F(1), F(3)))
+
+
+class TestLazyDirection:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_powers_match_operator_norm(self, seed):
+        rng = random.Random(seed)
+        for _ in range(3):
+            M = ((F(0),) * 3,) * 3
+            while determinant(M) == 0:
+                M = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3))
+            seq = MatrixSequence.powers(M)
+            for k in range(1, 21):
+                t = seq.t(k)
+                Mk = mat_pow(M, k)
+                assert t == operator_norm(Mk)[0]
+                # cross-check against the top root of the characteristic polynomial
+                p, chain, bound = _squarefree_sturm(charpoly(mat_mul(transpose(Mk), Mk)))
+                lo, hi = t.lo ** 2, t.hi ** 2
+                assert sturm_count(chain, hi, bound) == 0
+                assert sturm_count(chain, lo, bound) > 0 or poly_eval(p, lo) == 0
+
+    def test_rayleigh_path_skips_charpoly_and_adjugate(self, monkeypatch):
+        charpolys = _counting(monkeypatch, "charpoly")
+        adjugates = _counting(monkeypatch, "_poly_matrix_adjugate")
+        seq = MatrixSequence.powers(DENSE)
+        for k in range(1, 11):
+            assert not seq.t(k).is_point()
+        assert charpolys == [] and adjugates == []
+
+    def test_norm_without_direction_on_repeated_top_value(self):
+        # M^T M has the double eigenvalue 25: the norm is certified, while
+        # the adjugate cannot certify a direction
+        seq = MatrixSequence.explicit([((F(3), F(0), F(4)), (F(0), F(5), F(0)))])
+        t = seq.t(1)
+        assert t.lo <= 5 <= t.hi
+        with pytest.raises(DegenerateDirection):
+            seq.v(1)
+
+    def test_direction_reuses_cached_eigenvalue(self, monkeypatch):
+        eigens = _counting(monkeypatch, "_top_eigenvalue")
+        seq = MatrixSequence.powers(DENSE)
+        t = seq.t(3)
+        assert len(eigens) == 1
+        v = seq.v(3)
+        assert len(eigens) == 1
+        assert (t, v) == operator_norm(mat_pow(DENSE, 3))
 
 
 class TestMatrixSequence:
