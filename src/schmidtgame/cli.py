@@ -29,7 +29,7 @@ from .engine import (
     validate_transcript,
 )
 from .exact import format_frac, frac
-from .geometry import Ball, slab_disjoint_certificate
+from .geometry import Ball, slab_distance_exceeds
 from .matseq import MatrixSequence, analyze_lacunarity, jordan_dominance_check
 from .strategies import (
     CertificateError,
@@ -78,6 +78,13 @@ def _num(x) -> Fraction:
         raise ConfigError(f"not an exact rational: {x!r}") from e
 
 
+def _int(x) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"not an integer: {x!r}") from e
+
+
 def _vec(data) -> Tuple[Fraction, ...]:
     return tuple(_num(x) for x in data)
 
@@ -88,11 +95,11 @@ def _build_support(cfg: Dict) -> SupportModel:
         C=_num(d.get("C", 1)),
         gamma=_num(d.get("gamma", 1)),
         rho0=_num(d["rho0"]) if "rho0" in d else None,
-        ambient_dim=int(cfg.get("dim", 1)),
+        ambient_dim=_int(cfg.get("dim", 1)),
     )
     kind = cfg.get("kind", "euclidean")
     if kind == "euclidean":
-        return SupportModel.euclidean(int(cfg.get("dim", 1)), decay)
+        return SupportModel.euclidean(decay.ambient_dim, decay)
     if kind == "ifs":
         maps = [
             Similarity(_num(r), _vec(t))
@@ -120,7 +127,7 @@ def _build_targets(cfg: Dict) -> TargetFamily:
     if kind == "lattice":
         return TargetFamily.lattice(_vec(cfg["base"]))
     if kind == "explicit":
-        pts = {int(k): [_vec(p) for p in v] for k, v in cfg["points"].items()}
+        pts = {_int(k): [_vec(p) for p in v] for k, v in cfg["points"].items()}
         return TargetFamily.explicit(pts, _num(cfg["delta"]))
     raise ConfigError(f"unknown target kind {kind!r}")
 
@@ -128,7 +135,7 @@ def _build_targets(cfg: Dict) -> TargetFamily:
 def _entry(e) -> ba.Entry:
     if isinstance(e, dict):
         return ba.AlgebraicReal(
-            tuple(int(c) for c in e["poly"]), _num(e["lo"]), _num(e["hi"])
+            tuple(_int(c) for c in e["poly"]), _num(e["lo"]), _num(e["hi"])
         )
     return _num(e)
 
@@ -191,7 +198,7 @@ def cmd_play(args) -> int:
     game = cfg["game"]
     support = _build_support(cfg["support"])
     alpha, beta, variant, rho, center = _build_game(game, support.dim)
-    epochs = args.epochs or int(game.get("epochs", 1))
+    epochs = args.epochs or _int(game.get("epochs", 1))
     mode = args.mode or cfg.get("strategy", {}).get("mode", "certified")
     seq = _build_sequence(cfg["sequence"])
     targets = _build_targets(cfg["targets"])
@@ -267,7 +274,9 @@ def cmd_play(args) -> int:
 def cmd_analyze_seq(args) -> int:
     cfg = _load_config(args.config)
     seq = _build_sequence(cfg["sequence"])
-    horizon = args.horizon or 60
+    horizon = 60 if args.horizon is None else args.horizon
+    if horizon < 2:
+        raise ConfigError(f"--horizon must be >= 2, got {horizon}")
     report = analyze_lacunarity(seq, horizon)
     out = {
         "lacunary": report.lacunary,
@@ -314,8 +323,11 @@ def cmd_badapprox(args) -> int:
     cfg = _load_config(args.config)
     bcfg = cfg["badapprox"]
     A = _build_affine(bcfg)
+    rank_bound = _int(bcfg.get("rank_bound", 100))
+    q_bound = _int(bcfg.get("q_bound", 10 ** 4))
+    count = _int(bcfg.get("count", 10))
     out: Dict = {}
-    u = ba.rational_rank_check(A, int(bcfg.get("rank_bound", 100)))
+    u = ba.rational_rank_check(A, rank_bound)
     if u is not None:
         out["rational"] = True
         out["u"] = list(u)
@@ -324,12 +336,12 @@ def cmd_badapprox(args) -> int:
             case = ba.rational_case_set(A, u)
             out["x_in_bad"] = case.in_bad_set(x)
             out["bad_margin"] = format_frac(
-                ba.bad_margin(A, x, int(bcfg.get("q_bound", 10 ** 4)))
+                ba.bad_margin(A, x, q_bound)
             )
     else:
         out["rational"] = False
-        seq = ba.best_approx_sequence(A, int(bcfg.get("count", 10)))
-        out["denominators"] = seq.denominators[: int(bcfg.get("count", 10))]
+        seq = ba.best_approx_sequence(A, count)
+        out["denominators"] = seq.denominators[:count]
         out["thinned"] = [list(v) for v in seq.vectors]
         out["errors"] = [
             [format_frac(e.lo), format_frac(e.hi)] for e in seq.errors
@@ -337,7 +349,7 @@ def cmd_badapprox(args) -> int:
         if "x" in bcfg:
             x = _vec(bcfg["x"])
             out["bad_margin"] = format_frac(
-                ba.bad_margin(A, x, int(bcfg.get("q_bound", 10 ** 4)))
+                ba.bad_margin(A, x, q_bound)
             )
     print(json.dumps(out))
     return EXIT_OK
@@ -351,7 +363,7 @@ def cmd_verify(args) -> int:
     seq = _build_sequence(cfg["sequence"])
     targets = _build_targets(cfg["targets"])
     Q = _num(cfg.get("Q", 2))
-    epochs = args.epochs or int(game.get("epochs", 1))
+    epochs = args.epochs or _int(game.get("epochs", 1))
     transcript = load_transcript(args.transcript)
     checks: List[str] = []
     ok = True
@@ -397,7 +409,7 @@ def cmd_verify(args) -> int:
             bad = [
                 ec.k
                 for ec in ecs
-                if not slab_disjoint_certificate(final, ec.cert_slab, Fraction(0))
+                if not slab_distance_exceeds(final, ec.cert_slab, Fraction(0))
             ]
             if bad:
                 checks.append(f"epoch {j}: FAIL at k={bad}")

@@ -128,11 +128,6 @@ def slab_distance_exceeds(ball: Ball, slab: SlabConstraint, margin: Fraction) ->
     return t * t > rhs * rhs * norm2(slab.normal)
 
 
-def slab_disjoint_certificate(ball: Ball, slab: SlabConstraint, margin: Fraction) -> bool:
-    """True iff slab_ball_distance > margin; the decision itself is exact."""
-    return slab_distance_exceeds(ball, slab, margin)
-
-
 def point_on_slab_side(p: Vec, slab: SlabConstraint) -> bool:
     """True iff p lies strictly outside the slab (exact)."""
     t = abs(dot(slab.normal, p) - slab.offset)

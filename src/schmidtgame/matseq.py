@@ -1,20 +1,24 @@
 """Matrix sequences: certified operator norms, lacunarity, Kronecker orders.
 
 Certification never relies on floating point; float eigensolvers only seed
-good rational guesses.  The top eigenvalue of A = M^T M is enclosed between
-the Rayleigh quotient r of a rationalised float eigenvector and a slightly
-larger u, and certified by inertia (Sylvester's law): an exact LDL^T
-factorisation of r*I - A with a negative pivot puts the top eigenvalue
-above r, and one of u*I - A with positive pivots puts it below u.  Only what
-that leaves undecided, such as a zero pivot, falls back to the exact
-characteristic polynomial and Sturm-sequence root counting.  A sequence
-computes ||M_k||_op alone and builds the top direction, from the cached
-enclosure, only when asked for it.
+good rational guesses.  Every question about the symmetric A = M^T M is
+answered by one exact primitive, `inertia(A, x)`: the number of eigenvalues
+above x and the multiplicity of x, read off the pivots of an LDL^T
+factorisation of x*I - A (Sylvester's law of inertia).  The top eigenvalue
+is enclosed between the Rayleigh quotient r of a rationalised float
+eigenvector and a slightly larger u, or found exactly at r, by inertia
+counts at r and u; otherwise inertia counts bisect.  The top direction is
+that eigenvector, widened by a residual and gap (Davis-Kahan) bound whose
+gap is certified by one more inertia count, or an exact kernel vector when
+the top eigenvalue is rational.  A sequence computes ||M_k||_op alone and
+builds the top direction, from the cached enclosure, only when asked for it.
 
 The spectral radius test for power sequences goes through the resultant
 trick: the squared moduli |z_i|^2 of the eigenvalues are among the real
 roots of Res_x(p(x), x^d p(y/x)), so "radius <= 1" reduces to counting real
-roots above 1.
+roots above 1 with a Sturm chain.  Characteristic polynomials serve only
+that test and the unipotency check of Kronecker orders, whose matrices are
+not symmetric.
 """
 
 from __future__ import annotations
@@ -159,13 +163,6 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
-    return acc
-
-
-def poly_eval_interval(p: Poly, x: Interval) -> Interval:
-    acc = Interval.point(0)
-    for c in reversed(p):
-        acc = acc * x + Interval.point(c)
     return acc
 
 
@@ -373,92 +370,64 @@ class DegenerateDirection(RuntimeError):
     pass
 
 
-def _largest_root_bisect(p: Poly, rel_bits: int) -> Interval:
-    """Isolate the largest real root of p (assumed >= 0 present) by bisection."""
-    chain = sturm_chain(p)
-    hi = cauchy_bound(p) + 1
-    lo = Fraction(0)
-    if poly_eval(p, lo) == 0 and sturm_count(chain, lo, hi) == 0:
-        return Interval.point(lo)
-    if sturm_count(chain, lo, hi) == 0:
-        raise ValueError("no positive real root")
-    # shrink [lo, hi] keeping the largest root inside
-    for _ in range(4 * rel_bits + hi.numerator.bit_length()):
-        mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0 and sturm_count(chain, mid, hi) == 0:
-            return Interval.point(mid)
-        if sturm_count(chain, mid, hi) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << rel_bits):
-            break
-    return Interval(lo, hi)
+def inertia(A: Matrix, x: Fraction) -> Tuple[int, int]:
+    """(number of eigenvalues of symmetric A above x, multiplicity of x).
+
+    By Sylvester's law of inertia these are the negative and the zero
+    pivots of an exact LDL^T factorisation of x*I - A with diagonal
+    pivoting.  When every remaining diagonal entry is zero but S[k][j] is
+    not, adding row and column j to row and column k (a congruence) makes
+    the pivot 2*S[k][j]; an all-zero remainder counts as zero eigenvalues.
+    """
+    n = len(A)
+    S = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+    rest = list(range(n))
+    above = 0
+    while rest:
+        k = next((i for i in rest if S[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in rest for j in rest if S[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            for l in rest:
+                S[k][l] += S[j][l]
+            for l in rest:
+                S[l][k] += S[l][j]
+        d = S[k][k]
+        if d < 0:
+            above += 1
+        rest.remove(k)
+        for i in rest:
+            f = S[i][k] / d
+            if f:
+                for j in rest:
+                    S[i][j] -= f * S[k][j]
+    return above, len(rest)
 
 
-def _float_top_eig(A: Matrix) -> Tuple[float, List[float]]:
+def _rayleigh(A: Matrix) -> Tuple[List[float], Vec, Fraction]:
+    """Float eigenvalues of symmetric A (ascending), its float top
+    eigenvector rationalised as u, and the exact Rayleigh quotient of u."""
     arr = np.array([[float(x) for x in row] for row in A], dtype=float)
     s = max(1.0, np.abs(arr).max())
     w, V = np.linalg.eigh(arr / s)
-    idx = int(np.argmax(w))
-    return float(w[idx] * s), [float(v) for v in V[:, idx]]
-
-
-def _poly_matrix_adjugate(A: Matrix) -> List[List[Poly]]:
-    """Adjugate of (A - xI) as a matrix of polynomials in x."""
+    u = tuple(
+        Fraction(float(x)).limit_denominator(10 ** 17) for x in V[:, int(np.argmax(w))]
+    )
     n = len(A)
-    # entries of A - xI as polys
-    ent = [
-        [
-            [A[i][j], Fraction(-1)] if i == j else [A[i][j]]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def poly_det(rows: List[List[Poly]]) -> Poly:
-        k = len(rows)
-        if k == 1:
-            return list(rows[0][0])
-        out: Poly = [Fraction(0)]
-        for j in range(k):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = _poly_mul(rows[0][j], poly_det(minor))
-            if j % 2:
-                term = [-c for c in term]
-            out = _poly_add(out, term)
-        return out
-
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [ent[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = poly_det(minor) if minor else [Fraction(1)]
-            if (i + j) % 2:
-                cof = [-c for c in cof]
-            adj[i][j] = cof  # adj[i][j] = cofactor_{j i}
-    return adj
+    r = sum(u[i] * A[i][j] * u[j] for i in range(n) for j in range(n)) / norm2(u)
+    return [float(x * s) for x in w], u, r
 
 
-def _normalize_direction(entries: List[Interval]) -> Tuple[Interval, ...]:
-    nrm2 = Interval.point(0)
-    for e in entries:
-        nrm2 = nrm2 + e * e
-    lo = sqrt_interval(nrm2.lo).lo
-    hi = sqrt_interval(nrm2.hi).hi
-    nrm = Interval(lo, hi)
-    out = [e / nrm for e in entries]
-    for e in out:
+def _sign_normalized(v: Tuple[Interval, ...]) -> Tuple[Interval, ...]:
+    """v, negated if needed so its first certainly-nonzero entry is positive."""
+    for e in v:
         if e.lo > 0:
             break
         if e.hi < 0:
-            out = [-x for x in out]
-            break
-    return tuple(out)
+            return tuple(-x for x in v)
+    return v
 
 
 def _gram_top_eigenvalue(M: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
@@ -477,49 +446,52 @@ def _singular_value(lam: Interval, exact: bool) -> Interval:
     return Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi)
 
 
-def _top_direction(
-    M: Matrix, lam: Interval, exact: bool, rel_bits: int
-) -> Tuple[Interval, ...]:
+def _top_direction(M: Matrix, lam: Interval, exact: bool) -> Tuple[Interval, ...]:
     """Unit top right singular direction of M, given the enclosure of the
-    top eigenvalue of M^T M; any refinement the adjugate needs stays local
-    to the direction."""
+    top eigenvalue of M^T M.
+
+    An exact eigenvalue gives an exact kernel vector.  Otherwise the
+    rationalised float eigenvector u, with Rayleigh quotient r, is widened
+    by the Davis-Kahan bound: if exactly one eigenvalue lies above g < r,
+    the angle theta between u and the top eigenvector has
+    sin(theta) <= ||A u - r u|| / (||u|| (r - g)), and the unit vectors
+    differ by at most sqrt(2) sin(theta) in every coordinate.
+    """
     if len(M) == 1:
-        row = M[0]
-        first = next(x for x in row if x != 0)
-        if first < 0:
-            row = tuple(-x for x in row)
         t = sqrt_interval(lam.lo)
-        return tuple(Interval.point(x) / t for x in row)
+        return _sign_normalized(tuple(Interval.point(x) / t for x in M[0]))
     A = mat_mul(transpose(M), M)
     n = len(A)
-    if exact:
-        basis = kernel_basis(
-            mat_sub(A, tuple(tuple(lam.lo if i == j else Fraction(0) for j in range(n)) for i in range(n)))
-        )
-        if not basis:
-            raise DegenerateDirection("exact eigenvalue with empty kernel")
-        b = basis[0]
-        first = next(x for x in b if x != 0)
-        if first < 0:
-            b = tuple(-x for x in b)
-        nrm = sqrt_interval(norm2(b))
-        return tuple(Interval.point(x) / nrm for x in b)
-    # irrational top eigenvalue: adjugate columns of (A - lambda I)
-    adj = _poly_matrix_adjugate(A)
-    for attempt in range(6):
-        cols_iv = []
-        for j in range(n):
-            col = [poly_eval_interval(adj[i][j], lam) for i in range(n)]
-            score = max((e.abs().lo for e in col), default=Fraction(0))
-            cols_iv.append((score, col))
-        score, col = max(cols_iv, key=lambda t: t[0])
-        if score > 0:
-            return _normalize_direction(col)
-        lam = _refine_eigenvalue(A, lam, rel_bits * (2 + attempt))
-    raise DegenerateDirection(
-        "could not certify a nonzero adjugate column; top singular value "
-        "may be a repeated irrational eigenvalue"
+    x = lam.lo
+    if not exact:
+        w, u, r = _rayleigh(A)
+        g = Fraction((w[-1] + w[-2]) / 2)
+        if g < r and inertia(A, g) == (1, 0):
+            uu = norm2(u)
+            res = norm2(tuple(a - r * b for a, b in zip(mat_vec(A, u), u)))
+            eps = sqrt_interval(2 * res / (uu * (r - g) ** 2)).hi
+            nrm = sqrt_interval(uu)
+            return _sign_normalized(
+                tuple(Interval.point(c) / nrm + Interval(-eps, eps) for c in u)
+            )
+        # no certified gap: the top eigenvalue may be repeated.  A rational
+        # eigenvalue of A is an integer over the common denominator q of
+        # its entries, so round the float one to that grid and test it.
+        q = math.lcm(*(a.denominator for row in A for a in row))
+        x = Fraction(round(Fraction(w[-1]) * q), q)
+        above, mult = inertia(A, x)
+        if above or not mult:
+            raise DegenerateDirection(
+                "no certified gap below the top eigenvalue and no exact one; "
+                "the top singular value may be a repeated irrational"
+            )
+    basis = kernel_basis(
+        mat_sub(A, tuple(tuple(x if i == j else Fraction(0) for j in range(n)) for i in range(n)))
     )
+    if not basis:
+        raise DegenerateDirection("exact eigenvalue with empty kernel")
+    nrm = sqrt_interval(norm2(basis[0]))
+    return _sign_normalized(tuple(Interval.point(c) / nrm for c in basis[0]))
 
 
 def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interval, ...]]:
@@ -531,88 +503,42 @@ def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interva
     """
     M = as_matrix(M)
     lam, exact = _gram_top_eigenvalue(M, rel_bits)
-    return _singular_value(lam, exact), _top_direction(M, lam, exact, rel_bits)
-
-
-def ldlt_sign(A: Matrix, x: Fraction) -> int:
-    """Definiteness of x*I - A for symmetric A, by exact LDL^T without pivoting.
-
-    Returns 1 when every pivot is positive (x*I - A is positive definite, so
-    x exceeds every eigenvalue of A), -1 when the first non-positive pivot is
-    negative (x*I - A has a negative eigenvalue by Sylvester's law of inertia
-    and Cauchy interlacing, so some eigenvalue of A exceeds x), and 0 when a
-    zero pivot leaves the question undecided.
-    """
-    n = len(A)
-    S = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        d = S[k][k]
-        if d <= 0:
-            return -1 if d < 0 else 0
-        for i in range(k + 1, n):
-            f = S[i][k] / d
-            if f:
-                for j in range(k + 1, n):
-                    S[i][j] -= f * S[k][j]
-    return 1
+    return _singular_value(lam, exact), _top_direction(M, lam, exact)
 
 
 def _top_eigenvalue(A: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
     """Enclose the top eigenvalue of symmetric PSD A; flag exact rationals.
 
-    The Rayleigh quotient of a rationalised float eigenvector is a lower
-    bound; two inertia tests certify the enclosure.  Whatever they leave
-    undecided goes to the characteristic polynomial and Sturm chains.
+    The Rayleigh quotient r of a rationalised float eigenvector is a lower
+    bound, and a slightly larger u an upper one; inertia counts at r and u
+    certify the enclosure [r, u], or r as the exact top eigenvalue.  When
+    they do not, inertia counts bisect [0, max row sum of |A|].
     """
     n = len(A)
     if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
         lam = max(A[i][i] for i in range(n))
         return Interval.point(lam), True
-    lam_f, u_f = _float_top_eig(A)
-    u = tuple(Fraction(x).limit_denominator(10 ** 17) for x in u_f)
-    uu = norm2(u)
-    rayleigh = upper = None
-    if uu > 0:
-        rayleigh = sum(
-            u[i] * A[i][j] * u[j] for i in range(n) for j in range(n)
-        ) / uu
-        upper = rayleigh * (1 + Fraction(1, 1 << rel_bits)) + Fraction(
-            1, 1 << (2 * rel_bits)
-        )
-        # a negative pivot puts the top eigenvalue strictly above rayleigh
-        if rayleigh > 0 and ldlt_sign(A, rayleigh) < 0 and ldlt_sign(A, upper) > 0:
-            return Interval(rayleigh, upper), False
-    p = charpoly(A)
-    chain = sturm_chain(p)
-    bound = cauchy_bound(p) + 1
-    if uu > 0:
-        if poly_eval(p, rayleigh) == 0 and sturm_count(chain, rayleigh, bound) == 0:
-            return Interval.point(rayleigh), True
-        if rayleigh > 0 and sturm_count(chain, upper, bound) == 0:
-            if sturm_count(chain, rayleigh, upper) > 0 or poly_eval(p, upper) == 0:
-                return Interval(rayleigh, upper), False
-    enc = _largest_root_bisect(p, rel_bits)
-    if enc.is_point():
-        return enc, True
-    return enc, False
-
-
-def _refine_eigenvalue(A: Matrix, lam: Interval, rel_bits: int) -> Interval:
-    p = charpoly(A)
-    chain = sturm_chain(p)
-    lo, hi = lam.lo, lam.hi
-    for _ in range(rel_bits):
-        if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << rel_bits):
-            break
+    _, _, r = _rayleigh(A)
+    above, mult = inertia(A, r)
+    if above == 0 and mult > 0:
+        return Interval.point(r), True
+    upper = r * (1 + Fraction(1, 1 << rel_bits)) + Fraction(1, 1 << (2 * rel_bits))
+    if r > 0 and above > 0 and inertia(A, upper)[0] == 0:
+        return Interval(r, upper), False
+    # the top eigenvalue stays in (lo, hi]: above(lo) > 0 = above(hi)
+    lo, hi = Fraction(0), max(sum(abs(a) for a in row) for row in A)
+    for _ in range(4 * rel_bits + hi.numerator.bit_length()):
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0:
-            eps = (hi - lo) / (1 << rel_bits)
-            return Interval(mid - eps, mid + eps)
-        if sturm_count(chain, mid, hi) > 0:
+        above, mult = inertia(A, mid)
+        if above == 0 and mult > 0:
+            return Interval.point(mid), True
+        if above:
             lo = mid
         else:
             hi = mid
-    return Interval(lo, hi)
+        if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << rel_bits):
+            break
+    return Interval(lo, hi), False
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +627,7 @@ class MatrixSequence:
         if k not in self._v_cache:
             self.t(k)
             lam, exact = self._eig_cache[k]
-            self._v_cache[k] = _top_direction(self.matrix(k), lam, exact, _REL_BITS)
+            self._v_cache[k] = _top_direction(self.matrix(k), lam, exact)
         return self._v_cache[k]
 
 

@@ -30,7 +30,6 @@ from .geometry import (
     norm2,
     schmidt_leq,
     slab_ball_distance,
-    slab_disjoint_certificate,
     slab_distance_exceeds,
     vadd,
     vscale,
@@ -549,7 +548,7 @@ class Theorem42Alice:
                 )
             certs = []
             for ec in self.resolved:
-                if not slab_disjoint_certificate(ball, ec.cert_slab, Fraction(0)):
+                if not slab_distance_exceeds(ball, ec.cert_slab, Fraction(0)):
                     raise CertificateError(
                         f"certificate failed at k={ec.k} after epoch {j_done}",
                         dump={"k": ec.k, "round": i},

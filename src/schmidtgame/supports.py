@@ -36,8 +36,6 @@ class DecayParams:
     C: Fraction
     gamma: Fraction
     rho0: Optional[Fraction] = None  # None means +infinity
-    federer_D: Optional[Fraction] = None
-    power_law: Optional[Tuple[Fraction, Fraction, Fraction]] = None  # (delta, c1, c2)
     ambient_dim: int = 1
 
     def __post_init__(self):
@@ -49,14 +47,6 @@ class DecayParams:
                 raise ParameterError("rho0 must be positive")
         if self.C <= 0 or self.gamma <= 0:
             raise ParameterError("C and gamma must be positive")
-        if self.power_law is not None:
-            delta, c1, c2 = (frac(x) for x in self.power_law)
-            object.__setattr__(self, "power_law", (delta, c1, c2))
-            n = self.ambient_dim
-            if delta > n - 1 and self.gamma != delta - n + 1:
-                raise ParameterError(
-                    "power-law exponent requires gamma = delta - n + 1"
-                )
 
 
 def max_alpha(decay: DecayParams) -> Fraction:

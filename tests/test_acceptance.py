@@ -27,7 +27,6 @@ from schmidtgame.geometry import (
     Ball,
     SlabConstraint,
     dist2,
-    slab_disjoint_certificate,
     slab_distance_exceeds,
 )
 from schmidtgame.matseq import (
@@ -113,7 +112,7 @@ def recheck_epoch_certificates(transcript, seq, targets, params, epochs, alpha, 
             bob_balls[params.r * j], seq, targets, params, j, alpha, beta
         )
         for ec in ecs:
-            assert slab_disjoint_certificate(final, ec.cert_slab, F(0))
+            assert slab_distance_exceeds(final, ec.cert_slab, F(0))
         total += len(ecs)
     return total
 

@@ -95,6 +95,28 @@ class TestPlay:
             assert err.startswith("config error:") and message in err
             assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("game", {"epochs": "abc"}),
+            ("support", {"dim": "abc"}),
+            ("targets", {"kind": "explicit", "points": {"abc": [["1/2"]]}, "delta": "1/10"}),
+        ],
+    )
+    def test_malformed_integer_exit_4(self, tmp_path, capsys, section, value):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg[section].update(value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path)],
+            ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+        ):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "not an integer: 'abc'" in err
+            assert len(err.strip().splitlines()) == 1
+
 
 class TestVerify:
     def test_round_trip(self, tmp_path, capsys):
@@ -157,6 +179,13 @@ class TestAnalyzeSeq:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["jordan"]["ok"] is True
 
+    @pytest.mark.parametrize("horizon", ["1", "0", "-3"])
+    def test_short_horizon_exit_4(self, capsys, horizon):
+        argv = ["analyze-seq", "--config", config("pow3_classic.json"), "--horizon", horizon]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--horizon must be >= 2" in err
+
 
 class TestEstimateDecay:
     def test_cantor(self, capsys):
@@ -189,6 +218,25 @@ class TestBadapproxCmd:
         out = json.loads(capsys.readouterr().out)
         assert out["rational"] is False
         assert out["denominators"][:5] == [1, 2, 5, 12, 29]
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("badapprox_rational.json", "rank_bound", "abc"),
+            ("badapprox_rational.json", "q_bound", "abc"),
+            ("badapprox_sqrt2.json", "count", "abc"),
+            ("badapprox_sqrt2.json", "A", [[{"poly": ["abc", 0, 1], "lo": "1", "hi": "2"}]]),
+        ],
+    )
+    def test_malformed_integer_exit_4(self, tmp_path, capsys, name, key, value):
+        cfg = json.loads(open(config(name)).read())
+        cfg["badapprox"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["badapprox", "--config", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not an integer: 'abc'" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSeedFallback:

@@ -17,7 +17,6 @@ from schmidtgame.geometry import (
     point_on_slab_side,
     schmidt_leq,
     slab_ball_distance,
-    slab_disjoint_certificate,
     slab_distance_exceeds,
 )
 
@@ -83,7 +82,7 @@ class TestSlabDistance:
     def test_disjoint_certificate_sound(self, c, off):
         ball = Ball((c,), F(1, 8))
         slab = SlabConstraint((F(1),), off, F(1, 8))
-        if slab_disjoint_certificate(ball, slab, F(0)):
+        if slab_distance_exceeds(ball, slab, F(0)):
             # every point of the ball is strictly off the slab
             for p in (c - F(1, 8), c, c + F(1, 8)):
                 assert abs(p - off) > F(1, 8)

@@ -18,8 +18,8 @@ from schmidtgame.matseq import (
     invariant_hyperplane_family,
     jordan_dominance_check,
     kernel_basis,
+    inertia,
     kronecker_order,
-    ldlt_sign,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -157,28 +157,35 @@ class TestInertia:
         seen = set()
         for A, shifts in _symmetric_cases(seed):
             assert transpose(A) == A
+            n = len(A)
             p, chain, bound = _squarefree_sturm(charpoly(A))
             for x in shifts:
-                sign = ldlt_sign(A, x)
-                above = sturm_count(chain, x, bound) > 0
-                root = poly_eval(p, x) == 0
-                seen.add((sign, above, root))
-                if not above:
-                    # x*I - A is semidefinite, and definite unless x is an eigenvalue
-                    assert sign == (0 if root else 1)
-                else:
-                    assert sign in (-1, 0)
-        # the cases reach every outcome, including an undecided zero pivot on
-        # an indefinite matrix
-        outcomes = {(1, False, False), (0, False, True), (-1, True, False), (0, True, False)}
-        assert outcomes <= seen
+                above, mult = inertia(A, x)
+                assert (above > 0) == (sturm_count(chain, x, bound) > 0)
+                shifted = mat_sub(tuple(tuple(x * e for e in row) for row in identity(n)), A)
+                assert mult == n - len(rref(shifted)[1])
+                assert (mult > 0) == (poly_eval(p, x) == 0)
+                seen.add((above > 0, mult))
+        # the cases reach x below, at and above the top eigenvalue, and
+        # repeated eigenvalues
+        assert {(True, 0), (True, 1), (False, 0), (False, 1)} <= seen
+        assert any(mult > 1 for _, mult in seen)
 
     def test_zero_leading_pivot(self):
+        # every diagonal entry of x*I - A is zero at x = 0: the congruence
+        # step makes a pivot from the off-diagonal entry
         A = ((F(0), F(1)), (F(1), F(0)))
-        assert ldlt_sign(A, F(0)) == 0
-        assert ldlt_sign(A, F(1)) == 0
-        assert ldlt_sign(A, F(1, 2)) == -1
-        assert ldlt_sign(A, F(3, 2)) == 1
+        assert inertia(A, F(0)) == (1, 0)
+        assert inertia(A, F(1)) == (0, 1)
+        assert inertia(A, F(-1)) == (1, 1)
+        assert inertia(A, F(1, 2)) == (1, 0)
+        assert inertia(A, F(3, 2)) == (0, 0)
+
+    def test_zero_matrix(self):
+        Z = ((F(0),) * 3,) * 3
+        assert inertia(Z, F(0)) == (0, 3)
+        assert inertia(Z, F(1)) == (0, 0)
+        assert inertia(Z, F(-1)) == (3, 0)
 
 
 def _counting(monkeypatch, name):
@@ -215,22 +222,83 @@ class TestLazyDirection:
                 assert sturm_count(chain, hi, bound) == 0
                 assert sturm_count(chain, lo, bound) > 0 or poly_eval(p, lo) == 0
 
-    def test_rayleigh_path_skips_charpoly_and_adjugate(self, monkeypatch):
+    def test_norm_and_direction_skip_charpoly(self, monkeypatch):
         charpolys = _counting(monkeypatch, "charpoly")
-        adjugates = _counting(monkeypatch, "_poly_matrix_adjugate")
         seq = MatrixSequence.powers(DENSE)
         for k in range(1, 11):
             assert not seq.t(k).is_point()
-        assert charpolys == [] and adjugates == []
+            seq.v(k)
+        assert charpolys == []
 
-    def test_norm_without_direction_on_repeated_top_value(self):
-        # M^T M has the double eigenvalue 25: the norm is certified, while
-        # the adjugate cannot certify a direction
-        seq = MatrixSequence.explicit([((F(3), F(0), F(4)), (F(0), F(5), F(0)))])
+    def test_repeated_rational_top_value_gives_exact_direction(self):
+        # M^T M has the double eigenvalue 25 with eigenspace spanned by
+        # (0, 1, 0) and (3, 0, 4): no gap below it, but 25 is exact
+        M = ((F(3), F(0), F(4)), (F(0), F(5), F(0)))
+        seq = MatrixSequence.explicit([M])
         t = seq.t(1)
         assert t.lo <= 5 <= t.hi
+        v = seq.v(1)
+        assert all(e.is_point() for e in v)
+        v = tuple(e.lo for e in v)
+        assert v == (F(0), F(1), F(0))
+        A = mat_mul(transpose(M), M)
+        assert mat_vec(A, v) == tuple(25 * c for c in v)
+
+    def test_repeated_irrational_top_value_raises(self):
+        # blockdiag(B, B): the top eigenvalue (7 + sqrt(45))/2 of M^T M is double
+        B = ((F(1), F(1)), (F(1), F(2)))
+        Z = ((F(0), F(0)), (F(0), F(0)))
+        M = tuple(a + b for a, b in zip(B, Z)) + tuple(a + b for a, b in zip(Z, B))
+        seq = MatrixSequence.explicit([M])
+        assert not seq.t(1).is_point()
         with pytest.raises(DegenerateDirection):
             seq.v(1)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_direction_contains_exact_eigenvector(self, seed):
+        # M = diag(d) Q^T with Q rational orthogonal: M^T M = Q diag(d^2) Q^T,
+        # so for distinct |d| the top right singular direction is the
+        # column of Q at max |d|
+        rng = random.Random(seed)
+        exact = set()
+        for _ in range(20):
+            n = rng.choice((2, 3))
+            S = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    S[i][j] = F(rng.randint(-5, 5), rng.randint(1, 4))
+                    S[j][i] = -S[i][j]
+            Q = _rational_orthogonal(tuple(tuple(r) for r in S))
+            d = [rng.choice((-1, 1)) * x for x in rng.sample(range(1, 10), n)]
+            M = tuple(tuple(d[i] * Q[j][i] for j in range(n)) for i in range(n))
+            top = max(range(n), key=lambda i: abs(d[i]))
+            q = tuple(Q[j][top] for j in range(n))
+            if next(c for c in q if c != 0) < 0:
+                q = tuple(-c for c in q)
+            _, v = operator_norm(M)
+            assert all(e.lo <= c <= e.hi for e, c in zip(v, q))
+            assert all(e.width < F(1, 10 ** 12) for e in v)
+            exact.add(all(e.is_point() for e in v))
+        # both the Davis-Kahan enclosure and the exact kernel vector are hit
+        assert exact == {False, True}
+
+    def test_bisection_when_rayleigh_guess_fails(self, monkeypatch):
+        # a poor float eigenvector leaves [r, u] uncertified; inertia
+        # bisection still encloses the top eigenvalue
+        real = matseq._rayleigh
+
+        def poor(A):
+            w, _, _ = real(A)
+            return w, (F(1),) + (F(0),) * (len(A) - 1), A[0][0]
+
+        monkeypatch.setattr(matseq, "_rayleigh", poor)
+        A = mat_mul(transpose(DENSE), DENSE)
+        lam, exact = matseq._top_eigenvalue(A, 48)
+        assert not exact and lam.lo > A[0][0]
+        assert lam.width / lam.lo < F(1, 1 << 48)
+        p, chain, bound = _squarefree_sturm(charpoly(A))
+        assert sturm_count(chain, lam.hi, bound) == 0
+        assert sturm_count(chain, lam.lo, bound) == 1
 
     def test_direction_reuses_cached_eigenvalue(self, monkeypatch):
         eigens = _counting(monkeypatch, "_top_eigenvalue")
