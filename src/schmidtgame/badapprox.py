@@ -6,7 +6,10 @@ u.x in Z.  The irrational case builds the best-approximation denominator
 sequence (continued fractions when n = m = 1, exhaustive successive
 minima otherwise), thins it to ratio >= 3, and hands the resulting row
 sequence with targets Z to the game engine.  bad_margin independently
-certifies inf |q|^{m/n} d(Aq - x, Z^n) over a finite range of q.
+certifies inf |q|^{m/n} d(Aq - x, Z^n) over a finite range of q, in
+integer arithmetic over one common denominator of the entry enclosures
+and x: exact for n = 1 with rational data and a point x, otherwise a lower
+bound from the enclosures.
 """
 
 from __future__ import annotations
@@ -31,15 +34,14 @@ class PrecisionError(RuntimeError):
 # real algebraic numbers
 
 
-def _poly_eval_int(p: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_sign(p: Sequence[int], x: Fraction) -> int:
+    """Sign of p(x), from the integer den^deg * p(num/den) (den > 0)."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
 def _taylor_shift(p: Sequence[int], a: int) -> Tuple[int, ...]:
@@ -64,21 +66,26 @@ class AlgebraicReal:
     poly: Tuple[int, ...]
     lo: Fraction
     hi: Fraction
+    # sign of poly(lo); constant while [lo, hi] isolates the root, 0 once lo is it
+    lo_sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.poly = tuple(int(c) for c in self.poly)
         self.lo, self.hi = frac(self.lo), frac(self.hi)
         if self.lo > self.hi:
             raise ValueError("inverted isolating interval")
+        self.lo_sign = 0
         if self.lo != self.hi:
-            slo = _sign(_poly_eval_int(self.poly, self.lo))
-            shi = _sign(_poly_eval_int(self.poly, self.hi))
+            slo = _poly_sign(self.poly, self.lo)
+            shi = _poly_sign(self.poly, self.hi)
             if slo == 0:
                 self.hi = self.lo
             elif shi == 0:
                 self.lo = self.hi
             elif slo == shi:
                 raise ValueError("interval does not isolate a sign change")
+            else:
+                self.lo_sign = slo
 
     @staticmethod
     def sqrt_of(n: int) -> "AlgebraicReal":
@@ -99,11 +106,12 @@ class AlgebraicReal:
     def refine(self, max_width: Fraction) -> None:
         while self.hi - self.lo > max_width:
             mid = (self.lo + self.hi) / 2
-            s = _sign(_poly_eval_int(self.poly, mid))
+            s = _poly_sign(self.poly, mid)
             if s == 0:
                 self.lo = self.hi = mid
+                self.lo_sign = 0
                 return
-            if s == _sign(_poly_eval_int(self.poly, self.lo)):
+            if s == self.lo_sign:
                 self.lo = mid
             else:
                 self.hi = mid
@@ -115,10 +123,11 @@ class AlgebraicReal:
 
     def _exclude_point(self, c: Fraction) -> None:
         """Shrink the interval so the rational c is no longer interior."""
-        s = _sign(_poly_eval_int(self.poly, c))
+        s = _poly_sign(self.poly, c)
         if s == 0:
             self.lo = self.hi = c
-        elif s == _sign(_poly_eval_int(self.poly, self.lo)):
+            self.lo_sign = 0
+        elif s == self.lo_sign:
             self.lo = c
         else:
             self.hi = c
@@ -241,20 +250,25 @@ class AffineSystem:
         )
 
 
+def _shell(dim: int, r: int):
+    """Integer vectors of sup-norm r >= 1, in lexicographic order."""
+    if dim == 1:
+        yield (-r,)
+        yield (r,)
+        return
+    for c in range(-r, r + 1):
+        if abs(c) == r:
+            rests = itertools.product(range(-r, r + 1), repeat=dim - 1)
+        else:
+            rests = _shell(dim - 1, r)
+        for rest in rests:
+            yield (c,) + rest
+
+
 def _int_vectors(dim: int, bound: int):
     """Nonzero integer vectors ordered by sup-norm shell, then lexicographic."""
-    if dim == 1:
-        for r in range(1, bound + 1):
-            yield (-r,)
-            yield (r,)
-        return
     for r in range(1, bound + 1):
-        shell = []
-        for v in itertools.product(range(-r, r + 1), repeat=dim):
-            if max(abs(c) for c in v) == r:
-                shell.append(v)
-        shell.sort()
-        yield from shell
+        yield from _shell(dim, r)
 
 
 def rational_rank_check(A: AffineSystem, bound: int) -> Optional[Tuple[int, ...]]:
@@ -443,9 +457,22 @@ def _as_point_intervals(x, n: int) -> List[Interval]:
     return [Interval(c, c) for c in v]
 
 
-def bad_margin(A, x, q_bound: int, width: Optional[Fraction] = None) -> Fraction:
-    """Certified lower bound (exact in the rational 1-D case) of
-    min over 0 < ||q||_inf <= q_bound of ||q||^{m/n} * d(Aq - x, Z^n)."""
+ENTRY_WIDTH = Fraction(1, 2 ** 240)  # width of the entry enclosures bad_margin scans
+
+
+def bad_margin(A, x, q_bound: int) -> Fraction:
+    """Certified lower bound of
+    min over 0 < ||q||_inf <= q_bound of ||q||^{m/n} * d(Aq - x, Z^n).
+
+    The entries are enclosed to width ENTRY_WIDTH and every endpoint, of
+    the entries and of x, is written over one common integer denominator D,
+    so Aq - x is an integer interval over D and its distance to Z^n an
+    integer over D: the same bound the Interval arithmetic of
+    _dist_to_int_interval gives, with no Interval built per q.  For n = 1
+    the margin is an integer over D; it is exact when the data is rational
+    and x a point.  For n >= 2 the Euclidean norm is bounded below by
+    sqrt_interval.
+    """
     if q_bound < 1:
         raise ValueError("q_bound must be >= 1")
     if not isinstance(A, AffineSystem):
@@ -456,51 +483,53 @@ def bad_margin(A, x, q_bound: int, width: Optional[Fraction] = None) -> Fraction
     xs = _as_point_intervals(x, n)
     if len(xs) != n:
         raise ValueError("point dimension does not match the system")
-    exact_rational = (
-        n == 1
-        and A.is_rational
-        and all(iv.is_point() for iv in xs)
-    )
-    if width is None:
-        width = Fraction(1, 2 ** 240)
     cols = [
-        [_entry_interval(A.entries[i][j], width) for i in range(n)] for j in range(m)
+        [_entry_interval(A.entries[i][j], ENTRY_WIDTH) for i in range(n)]
+        for j in range(m)
     ]
-    best: Optional[Fraction] = None
-    if exact_rational and m == 1:
-        a = cols[0][0].lo
-        xv = xs[0].lo
-        for q in range(1, q_bound + 1):
-            for t in (a * q - xv, -a * q - xv):
-                fl = math.floor(t)
-                d = min(t - fl, fl + 1 - t)
-                val = q * d
-                if best is None or val < best:
-                    best = val
-            if best == 0:
-                return Fraction(0)
-        return best
+    D = math.lcm(
+        *(v.denominator for iv in itertools.chain(xs, *cols) for v in (iv.lo, iv.hi))
+    )
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (D // v.denominator)
+
+    # per coordinate i: -x_i as (lo, hi) and the (lo, hi) of each entry A_ij
+    rows = [
+        (
+            -scaled(xs[i].hi),
+            -scaled(xs[i].lo),
+            [(scaled(col[i].lo), scaled(col[i].hi)) for col in cols],
+        )
+        for i in range(n)
+    ]
+    best = None
+    weight_nrm, weight = 0, None
     for q in _int_vectors(m, q_bound):
-        # Aq - x per coordinate, as an interval
-        d2_lo = Fraction(0)
-        for i in range(n):
-            acc = Interval(-xs[i].hi, -xs[i].lo)
-            for j in range(m):
-                if q[j]:
-                    acc = acc + cols[j][i] * Interval(Fraction(q[j]), Fraction(q[j]))
-            d = _dist_to_int_interval(acc)
-            d2_lo += d.lo * d.lo
-        d_lo = sqrt_interval(d2_lo).lo
-        nrm = max(abs(c) for c in q)
-        if m == n:
-            weight = Fraction(nrm) ** (m // n) if m % n == 0 else None
+        d2 = 0
+        for lo, hi, entries in rows:
+            for c, (elo, ehi) in zip(q, entries):
+                if c > 0:
+                    lo += c * elo
+                    hi += c * ehi
+                elif c < 0:
+                    lo += c * ehi
+                    hi += c * elo
+            fl, r = divmod(lo, D)
+            if r and hi // D == fl:
+                dl = min(r, (fl + 1) * D - hi)
+                d2 += dl * dl
+        if d2 == 0:
+            return Fraction(0)
+        nrm = max(map(abs, q))
+        if n == 1:
+            # sqrt(dl^2) = dl, and the weight nrm^m is an integer
+            val = nrm ** m * dl
         else:
-            weight = None
-        if weight is None:
-            weight = pow_interval(Fraction(nrm), Fraction(m, n)).lo
-        val = weight * d_lo
+            if nrm != weight_nrm:
+                weight_nrm = nrm
+                weight = pow_interval(Fraction(nrm), Fraction(m, n)).lo
+            val = weight * sqrt_interval(Fraction(d2, D * D)).lo
         if best is None or val < best:
             best = val
-        if best == 0:
-            return Fraction(0)
-    return best if best is not None else Fraction(0)
+    return Fraction(best, D) if n == 1 else best

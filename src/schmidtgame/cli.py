@@ -134,14 +134,23 @@ def _build_targets(cfg: Dict) -> TargetFamily:
 
 def _entry(e) -> ba.Entry:
     if isinstance(e, dict):
-        return ba.AlgebraicReal(
-            tuple(_int(c) for c in e["poly"]), _num(e["lo"]), _num(e["hi"])
-        )
+        poly = tuple(_int(c) for c in e["poly"])
+        try:
+            return ba.AlgebraicReal(poly, _num(e["lo"]), _num(e["hi"]))
+        except ValueError as err:
+            raise ConfigError(f"algebraic entry {e!r}: {err}") from err
     return _num(e)
 
 
 def _build_affine(cfg: Dict) -> ba.AffineSystem:
-    return ba.AffineSystem(tuple(tuple(_entry(e) for e in row) for row in cfg["A"]))
+    rows = cfg["A"]
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) and row for row in rows
+    ):
+        raise ConfigError("A must be a non-empty list of non-empty rows")
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError("the rows of A must have equal length")
+    return ba.AffineSystem(tuple(tuple(_entry(e) for e in row) for row in rows))
 
 
 def _build_game(
@@ -326,13 +335,22 @@ def cmd_badapprox(args) -> int:
     rank_bound = _int(bcfg.get("rank_bound", 100))
     q_bound = _int(bcfg.get("q_bound", 10 ** 4))
     count = _int(bcfg.get("count", 10))
+    for name, value, least in (
+        ("rank_bound", rank_bound, 1),
+        ("q_bound", q_bound, 1),
+        ("count", count, 2),
+    ):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    x = _vec(bcfg["x"]) if "x" in bcfg else None
+    if x is not None and len(x) != A.n:
+        raise ConfigError(f"x has dimension {len(x)} but A has {A.n} rows")
     out: Dict = {}
     u = ba.rational_rank_check(A, rank_bound)
     if u is not None:
         out["rational"] = True
         out["u"] = list(u)
-        if "x" in bcfg:
-            x = _vec(bcfg["x"])
+        if x is not None:
             case = ba.rational_case_set(A, u)
             out["x_in_bad"] = case.in_bad_set(x)
             out["bad_margin"] = format_frac(
@@ -346,8 +364,7 @@ def cmd_badapprox(args) -> int:
         out["errors"] = [
             [format_frac(e.lo), format_frac(e.hi)] for e in seq.errors
         ]
-        if "x" in bcfg:
-            x = _vec(bcfg["x"])
+        if x is not None:
             out["bad_margin"] = format_frac(
                 ba.bad_margin(A, x, q_bound)
             )

@@ -238,6 +238,36 @@ class TestBadapproxCmd:
         assert err.startswith("config error:") and "not an integer: 'abc'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("badapprox_rational.json", "q_bound", 0, "q_bound must be >= 1"),
+            ("badapprox_rational.json", "q_bound", -3, "q_bound must be >= 1"),
+            ("badapprox_rational.json", "rank_bound", 0, "rank_bound must be >= 1"),
+            ("badapprox_sqrt2.json", "count", 0, "count must be >= 2"),
+            ("badapprox_sqrt2.json", "count", 1, "count must be >= 2"),
+            ("badapprox_rational.json", "x", ["1/3", "1/5"], "x has dimension 2"),
+            ("badapprox_sqrt2.json", "x", ["1/3", "1/5"], "x has dimension 2"),
+            ("badapprox_rational.json", "A", [], "non-empty"),
+            ("badapprox_rational.json", "A", [["1/2", "1/3"], ["1/5"]], "equal length"),
+            (
+                "badapprox_sqrt2.json",
+                "A",
+                [[{"poly": [-2, 0, 1], "lo": "2", "hi": "3"}]],
+                "does not isolate a sign change",
+            ),
+        ],
+    )
+    def test_malformed_input_exit_4(self, tmp_path, capsys, name, key, value, message):
+        cfg = json.loads(open(config(name)).read())
+        cfg["badapprox"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["badapprox", "--config", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSeedFallback:
     def test_env_seed_used(self, tmp_path, capsys, monkeypatch):
