@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .exact import Interval, frac, pow_interval, sqrt_interval
-from .geometry import Ball, Vec, as_vec
+from .geometry import Ball, as_vec
 from .matseq import LacunarityReport, MatrixSequence, analyze_lacunarity
 from .targets import TargetFamily
 
@@ -34,9 +34,8 @@ class PrecisionError(RuntimeError):
 # real algebraic numbers
 
 
-def _poly_sign(p: Sequence[int], x: Fraction) -> int:
-    """Sign of p(x), from the integer den^deg * p(num/den) (den > 0)."""
-    num, den = x.numerator, x.denominator
+def _poly_sign(p: Sequence[int], num: int, den: int) -> int:
+    """Sign of p(num/den), from the integer den^deg * p(num/den) (den > 0)."""
     acc, scale = 0, 1
     for c in reversed(p):
         acc = acc * num + c * scale
@@ -68,6 +67,8 @@ class AlgebraicReal:
     hi: Fraction
     # sign of poly(lo); constant while [lo, hi] isolates the root, 0 once lo is it
     lo_sign: int = field(init=False, repr=False, compare=False)
+    # the isolating interval as given, before any refinement
+    origin: Tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.poly = tuple(int(c) for c in self.poly)
@@ -76,8 +77,8 @@ class AlgebraicReal:
             raise ValueError("inverted isolating interval")
         self.lo_sign = 0
         if self.lo != self.hi:
-            slo = _poly_sign(self.poly, self.lo)
-            shi = _poly_sign(self.poly, self.hi)
+            slo = _poly_sign(self.poly, self.lo.numerator, self.lo.denominator)
+            shi = _poly_sign(self.poly, self.hi.numerator, self.hi.denominator)
             if slo == 0:
                 self.hi = self.lo
             elif shi == 0:
@@ -86,6 +87,7 @@ class AlgebraicReal:
                 raise ValueError("interval does not isolate a sign change")
             else:
                 self.lo_sign = slo
+        self.origin = (self.lo, self.hi)
 
     @staticmethod
     def sqrt_of(n: int) -> "AlgebraicReal":
@@ -104,17 +106,32 @@ class AlgebraicReal:
         return self.hi - self.lo
 
     def refine(self, max_width: Fraction) -> None:
-        while self.hi - self.lo > max_width:
-            mid = (self.lo + self.hi) / 2
-            s = _poly_sign(self.poly, mid)
+        """Bisect until the width is <= max_width.
+
+        The endpoints are kept as integers lo_n/d and hi_n/d over one
+        denominator, which doubles at each step, so no Fraction is built
+        until the end.
+        """
+        if self.hi - self.lo <= max_width:
+            return
+        d = math.lcm(self.lo.denominator, self.hi.denominator)
+        lo_n = self.lo.numerator * (d // self.lo.denominator)
+        hi_n = self.hi.numerator * (d // self.hi.denominator)
+        # width (hi_n - lo_n)/d > max_width = wn/wd, cross-multiplied
+        wn, wd = max_width.numerator, max_width.denominator
+        while (hi_n - lo_n) * wd > wn * d:
+            mid, d = lo_n + hi_n, 2 * d
+            lo_n, hi_n = 2 * lo_n, 2 * hi_n
+            s = _poly_sign(self.poly, mid, d)
             if s == 0:
-                self.lo = self.hi = mid
+                self.lo = self.hi = Fraction(mid, d)
                 self.lo_sign = 0
                 return
             if s == self.lo_sign:
-                self.lo = mid
+                lo_n = mid
             else:
-                self.hi = mid
+                hi_n = mid
+        self.lo, self.hi = Fraction(lo_n, d), Fraction(hi_n, d)
 
     def interval(self, max_width: Optional[Fraction] = None) -> Interval:
         if max_width is not None:
@@ -123,7 +140,7 @@ class AlgebraicReal:
 
     def _exclude_point(self, c: Fraction) -> None:
         """Shrink the interval so the rational c is no longer interior."""
-        s = _poly_sign(self.poly, c)
+        s = _poly_sign(self.poly, c.numerator, c.denominator)
         if s == 0:
             self.lo = self.hi = c
             self.lo_sign = 0
@@ -464,10 +481,13 @@ def bad_margin(A, x, q_bound: int) -> Fraction:
     """Certified lower bound of
     min over 0 < ||q||_inf <= q_bound of ||q||^{m/n} * d(Aq - x, Z^n).
 
-    The entries are enclosed to width ENTRY_WIDTH and every endpoint, of
-    the entries and of x, is written over one common integer denominator D,
-    so Aq - x is an integer interval over D and its distance to Z^n an
-    integer over D: the same bound the Interval arithmetic of
+    A is an AffineSystem, a nested list of rows, or one scalar entry.
+    Each algebraic entry is enclosed to width ENTRY_WIDTH by bisecting a
+    copy of its original isolating interval, so the caller's object is
+    left as it was and the result does not depend on its history.  Every
+    endpoint, of the entries and of x, is written over one common integer
+    denominator D, so Aq - x is an integer interval over D and its distance
+    to Z^n an integer over D: the same bound the Interval arithmetic of
     _dist_to_int_interval gives, with no Interval built per q.  For n = 1
     the margin is an integer over D; it is exact when the data is rational
     and x a point.  For n >= 2 the Euclidean norm is bounded below by
@@ -476,17 +496,16 @@ def bad_margin(A, x, q_bound: int) -> Fraction:
     if q_bound < 1:
         raise ValueError("q_bound must be >= 1")
     if not isinstance(A, AffineSystem):
-        A = AffineSystem(((frac(A),),)) if not isinstance(A, (list, tuple)) else AffineSystem(
-            tuple(tuple(e for e in row) for row in A)
-        )
+        A = AffineSystem(tuple(map(tuple, A)) if isinstance(A, (list, tuple)) else ((A,),))
     n, m = A.n, A.m
     xs = _as_point_intervals(x, n)
     if len(xs) != n:
         raise ValueError("point dimension does not match the system")
-    cols = [
-        [_entry_interval(A.entries[i][j], ENTRY_WIDTH) for i in range(n)]
-        for j in range(m)
+    fresh = [
+        [AlgebraicReal(e.poly, *e.origin) if isinstance(e, AlgebraicReal) else e for e in row]
+        for row in A.entries
     ]
+    cols = [[_entry_interval(fresh[i][j], ENTRY_WIDTH) for i in range(n)] for j in range(m)]
     D = math.lcm(
         *(v.denominator for iv in itertools.chain(xs, *cols) for v in (iv.lo, iv.hi))
     )

@@ -3,7 +3,8 @@
 Configuration is a JSON document with every exact rational written as a
 "p/q" string; algebraic numbers as {"poly": [...], "lo": "p/q", "hi": "p/q"}.
 Exit codes: 0 success/won, 2 lost or certificate failure, 3 infeasible
-parameters, 4 I/O or configuration errors.
+parameters (including a sequence whose slab direction is degenerate), 4 I/O
+or configuration errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 from . import badapprox as ba
 from .engine import (
     GameConfig,
-    GameTranscript,
     InvalidMove,
     Variant,
     limit_margin,
@@ -30,7 +30,12 @@ from .engine import (
 )
 from .exact import format_frac, frac
 from .geometry import Ball, slab_distance_exceeds
-from .matseq import MatrixSequence, analyze_lacunarity, jordan_dominance_check
+from .matseq import (
+    DegenerateDirection,
+    MatrixSequence,
+    analyze_lacunarity,
+    jordan_dominance_check,
+)
 from .strategies import (
     CertificateError,
     GreedyAlice,
@@ -479,7 +484,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, KeyError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ParameterError as e:
+    except (ParameterError, DegenerateDirection) as e:
+        # DegenerateDirection: a repeated irrational top singular value leaves
+        # Alice's slab direction undefined
         print(f"infeasible parameters: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (InvalidMove, NoFeasibleCenter, MoreThanOneTarget, CertificateError) as e:

@@ -204,16 +204,5 @@ def pow_interval(q: RatLike, exponent: Fraction, rel_bits: int = DEFAULT_REL_BIT
     return enc.inverse() if neg else enc
 
 
-def sqrt_lower(q: RatLike, rel_bits: int = DEFAULT_REL_BITS) -> Fraction:
-    return sqrt_interval(q, rel_bits).lo
-
-
 def sqrt_upper(q: RatLike, rel_bits: int = DEFAULT_REL_BITS) -> Fraction:
     return sqrt_interval(q, rel_bits).hi
-
-
-def interval_sqrt(enc: Interval, rel_bits: int = DEFAULT_REL_BITS) -> Interval:
-    """sqrt of a nonnegative interval, outward-rounded."""
-    if enc.lo < 0:
-        raise ValueError("interval must be nonnegative")
-    return Interval(sqrt_interval(enc.lo, rel_bits).lo, sqrt_interval(enc.hi, rel_bits).hi)

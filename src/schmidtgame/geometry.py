@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
-from .exact import Interval, sqrt_interval
+from .exact import sqrt_interval
 
 Vec = Tuple[Fraction, ...]
 
@@ -126,14 +126,3 @@ def slab_distance_exceeds(ball: Ball, slab: SlabConstraint, margin: Fraction) ->
     t = abs(dot(slab.normal, ball.center) - slab.offset)
     rhs = margin + slab.halfwidth + ball.radius
     return t * t > rhs * rhs * norm2(slab.normal)
-
-
-def point_on_slab_side(p: Vec, slab: SlabConstraint) -> bool:
-    """True iff p lies strictly outside the slab (exact)."""
-    t = abs(dot(slab.normal, p) - slab.offset)
-    w = slab.halfwidth
-    return t * t > w * w * norm2(slab.normal)
-
-
-def norm_interval(a: Vec) -> Interval:
-    return sqrt_interval(norm2(a))

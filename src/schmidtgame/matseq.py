@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import Interval, frac, sqrt_interval
-from .geometry import Vec, as_vec, norm2
+from .geometry import Vec, norm2
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -135,16 +135,6 @@ def kernel_basis(M: Matrix) -> List[Vec]:
             v[pc] = -R[i][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve_square(A: Matrix, b: Vec) -> Optional[Vec]:
-    """Solve A x = b for square invertible A; None when singular."""
-    n, m = mat_shape(A)
-    aug = tuple(row + (bi,) for row, bi in zip(A, b))
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return tuple(R[i][m] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

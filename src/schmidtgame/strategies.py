@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import GameConfig, GameTranscript, Variant
-from .exact import Interval, frac, sqrt_interval
+from .engine import GameConfig, GameTranscript
+from .exact import frac, sqrt_interval
 from .geometry import (
     Ball,
     SlabConstraint,
     Vec,
-    as_vec,
     dist2,
     dot,
     norm2,
@@ -35,13 +34,15 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .matseq import MatrixSequence, kernel_basis, mat_mul, mat_shape, mat_vec, rref, transpose
+from .matseq import MatrixSequence, kernel_basis, mat_mul, mat_vec, rref, transpose
 from .supports import (
     DecayParams,
     ParameterError,
     SupportModel,
+    ball_grid,
     candidate_centers,
     epsilon_for,
+    grid_step,
     max_alpha,
 )
 from .targets import TargetFamily, points_near
@@ -151,45 +152,47 @@ def _exact_avoided(
     ]
 
 
-def _grid_step(alpha: Fraction, rho: Fraction, n: int) -> Fraction:
-    # same covering grid as candidate_centers on a Euclidean support
-    return alpha * rho / (4 * math.ceil(math.sqrt(n)))
+_SCREEN_BLOCK = 4096  # grid points per float block: 4096 x 20 slabs is 640 KB
 
 
 def _avoid_euclidean(
     K: SupportModel, ball: Ball, slabs: Sequence[SlabConstraint],
     alpha: Fraction, need: int,
 ) -> Tuple[Vec, List[int]]:
-    """Prescreen the covering grid with numpy, certify the winner exactly."""
+    """Screen the cached in-ball grid with numpy, certify the winner exactly.
+
+    The covering grid of the shrunken ball, in units of rho, depends only on
+    the dimension and alpha, so `ball_grid` builds it once per game.  Float
+    clearance counts rank its points; they are taken over blocks of
+    _SCREEN_BLOCK points so the float temporaries stay in cache.  Walking
+    the counts from the maximum down picks the first 200 of the stable
+    descending order without a sort, and those are certified exactly in
+    rank order.  A point the float in-ball test admitted but the exact one
+    rejects keeps its rank slot and is skipped.
+    """
     import numpy as np
 
     rho = ball.radius
-    n = ball.dim
-    margin = 3 * alpha * rho / 4
-    step = _grid_step(alpha, rho, n)
-    span = (1 - alpha) * rho
-    m = int(span / step)
-    axis = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    h = float(step / rho)
-    w = pts * h  # grid offsets in units of rho
-    inside = (w * w).sum(axis=1) <= float(span / rho) ** 2 + 1e-12
+    h = grid_step(alpha, ball.dim)
+    pts, w, inside = ball_grid(ball.dim, h, 1 - alpha)
     units, offs, thresh = _slab_tables(ball, slabs, alpha)
-    dists = np.abs(w @ units.T - offs)
-    counts = (dists > thresh).sum(axis=1)
-    counts[~inside] = -1
-    order = np.argsort(-counts, kind="stable")
-    best: Optional[Tuple[int, Vec, List[int]]] = None
-    span2 = span * span
-    for rank in range(min(len(order), 200)):
-        idx = int(order[rank])
-        if counts[idx] < 0:
+    counts = np.empty(len(w), dtype=np.intp)
+    for s in range(0, len(w), _SCREEN_BLOCK):
+        d = w[s:s + _SCREEN_BLOCK] @ units.T
+        d -= offs
+        counts[s:s + _SCREEN_BLOCK] = (np.abs(d, out=d) > thresh).sum(axis=1)
+    picks: List[int] = []
+    for c in range(int(counts.max()), -1, -1):
+        picks.extend(np.flatnonzero(counts == c)[: 200 - len(picks)].tolist())
+        if len(picks) == 200:
             break
-        off = tuple(step * int(pts[idx][d]) for d in range(n))
-        if norm2(off) > span2:
-            continue  # float inclusion was optimistic; drop the point
-        u = vadd(ball.center, off)
+    step = h * rho
+    margin = 3 * alpha * rho / 4
+    best: Optional[Tuple[int, Vec, List[int]]] = None
+    for idx in picks:
+        if not inside[idx]:
+            continue
+        u = vadd(ball.center, tuple(step * int(z) for z in pts[idx]))
         avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
         if best is None or len(avoided) > best[0]:
             best = (len(avoided), u, avoided)

@@ -10,14 +10,14 @@ rounding.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exact import Interval, frac, nthroot_interval, pow_interval, sqrt_interval, sqrt_upper
+from .exact import frac, pow_interval, sqrt_upper
 from .geometry import Ball, Vec, as_vec, dist2, vadd, vscale
 
 _MAX_ALPHA_REL = Fraction(1, 10 ** 7)
@@ -275,31 +275,40 @@ class SupportModel:
         return False
 
 
-def nearest_on_support(K: SupportModel, x, scale: Fraction) -> Vec:
-    """A point of K within d(x, K) + scale/1000 of x; exact code word for IFS."""
-    x = as_vec(x)
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if K.kind == "euclidean":
-        return x
-    tol = scale / 1000
-    diam2 = K._diam2()
-    # branch and bound over cells until the winner's diameter is below tol
-    best_cell = K.root_cell()
-    frontier = [best_cell]
-    while True:
-        scored = []
-        for cell in frontier:
-            lo, hi = K.cell_box(cell)
-            scored.append((_box_dist2(lo, hi, x), cell))
-        scored.sort(key=lambda t: t[0])
-        bound = scored[0][0]
-        keep = [c for d, c in scored if d == bound or d <= bound + tol * tol]
-        lead = keep[0]
-        if lead.scale * lead.scale * diam2 <= tol * tol:
-            return lead.apply(K.base_point)
-        frontier = [c.child(b, K.maps) for c in keep[:8] for b in range(len(K.maps))]
+def grid_step(alpha: Fraction, n: int) -> Fraction:
+    """Per-axis step, in units of the radius, of the Euclidean covering grid.
+
+    Its covering radius sqrt(n)/2 * step stays within the mesh alpha/4.
+    """
+    return alpha / (4 * math.ceil(math.sqrt(n)))
+
+
+@functools.lru_cache(maxsize=8)
+def ball_grid(n: int, step: Fraction, span: Fraction):
+    """Integer points z with ||step * z|| <= span, in units of the radius.
+
+    Returns (z, w, inside): the points of the cube |z_i| <= floor(span/step)
+    that pass the float test ||w||^2 <= span^2 + 1e-12, in C order, their
+    float offsets w = step * z, and the exact test ||step * z|| <= span.
+    The float test admits every exactly inside point: its rounding error is
+    near 1e-15, far below the 1e-12 slack.  The key depends only on n and
+    alpha, so one grid serves every ball of a game; the arrays are
+    read-only.
+    """
+    import numpy as np
+
+    m = int(span / step)
+    axis = np.arange(-m, m + 1)
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    w = pts.astype(float) * float(step)
+    keep = (w * w).sum(axis=1) <= float(span) ** 2 + 1e-12
+    pts, w = pts[keep], w[keep]
+    # sum z^2 is an integer, so <= (span/step)^2 iff <= its floor
+    inside = (pts * pts).sum(axis=1) <= math.floor((span / step) ** 2)
+    for a in (pts, w, inside):
+        a.flags.writeable = False
+    return pts, w, inside
 
 
 def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]:
@@ -311,22 +320,17 @@ def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]
     """
     alpha = Fraction(alpha)
     rho = ball.radius
+    if K.kind == "euclidean":
+        h = grid_step(alpha, K.dim)
+        pts, _, inside = ball_grid(K.dim, h, 1 - alpha)
+        step = h * rho
+        return sorted(
+            vadd(ball.center, tuple(step * int(zi) for zi in z))
+            for z in pts[inside]
+        )
     reach = (1 - alpha) * rho
     reach2 = reach * reach
     mesh = alpha * rho / 4
-    if K.kind == "euclidean":
-        n = K.dim
-        # per-axis step so the grid covering radius stays within the mesh
-        root_n = 1 if n == 1 else 2  # ceil(sqrt(n)) for n <= 4
-        step = mesh / root_n
-        span = math.floor(reach / step)
-        out = []
-        ranges = [range(-span, span + 1)] * n
-        for z in itertools.product(*ranges):
-            off = tuple(step * zi for zi in z)
-            if sum(o * o for o in off) <= reach2:
-                out.append(vadd(ball.center, off))
-        return sorted(out)
     # IFS: cells of diameter <= mesh meeting the shrunken ball, one exact
     # representative each, pushed toward the ball center until it lands
     # inside the shrunken ball.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .exact import Interval, sqrt_interval
 from .geometry import Vec, as_vec, dist2
 
 
@@ -110,11 +109,3 @@ def dist2_to_targets(family: TargetFamily, k: int, p) -> Optional[Fraction]:
     if not pts:
         return None
     return min(dist2(p, q) for q in pts)
-
-
-def dist_to_targets(family: TargetFamily, k: int, p) -> Optional[Interval]:
-    """Certified enclosure of d(p, Z_k); exact when the distance is rational."""
-    d2 = dist2_to_targets(family, k, p)
-    if d2 is None:
-        return None
-    return sqrt_interval(d2)

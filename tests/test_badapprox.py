@@ -124,6 +124,23 @@ class TestBadMargin:
         A = AffineSystem(((F(1, 2),),))
         assert bad_margin(A, (F(1, 2),), 100) == F(0)
 
+    def test_bare_algebraic_entry(self):
+        x = (F(1, 3),)
+        assert bad_margin(AlgebraicReal.sqrt_of(2), x, 100) == bad_margin(
+            [[AlgebraicReal.sqrt_of(2)]], x, 100
+        )
+
+    def test_independent_of_entry_history(self):
+        a, b = AlgebraicReal.sqrt_of(2), AlgebraicReal.sqrt_of(2)
+        b.refine(F(1, 2 ** 300))
+        before = (b.lo, b.hi)
+        margin_a = bad_margin([[a]], (F(1, 3),), 1000)
+        margin_b = bad_margin([[b]], (F(1, 3),), 1000)
+        assert isinstance(margin_a, F)
+        assert margin_a == margin_b
+        assert (b.lo, b.hi) == before
+        assert (a.lo, a.hi) == (F(1), F(2))
+
 
 class TestBestApproxSequence:
     def test_sqrt2_matches_cf_oracle(self):

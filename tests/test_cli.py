@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from schmidtgame.cli import main
+from schmidtgame.matseq import DegenerateDirection, MatrixSequence
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -159,6 +160,25 @@ class TestVerify:
         assert (
             main(["verify", str(tpath), "--config", config("pow3_classic.json")]) == 2
         )
+
+
+class TestDegenerateDirection:
+    def test_play_and_verify_exit_3(self, tmp_path, capsys, monkeypatch):
+        args = ["--config", config("pow3_classic.json")]
+        assert main(["play", *args, "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+
+        def degenerate(self, k):
+            raise DegenerateDirection(f"repeated top singular value at k={k}")
+
+        monkeypatch.setattr(MatrixSequence, "v", degenerate)
+        assert main(["play", *args, "--out", str(tmp_path / "bad")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible parameters:")
+        tpath = tmp_path / "ok" / "transcript.jsonl"
+        assert main(["verify", str(tpath), *args]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible parameters:")
 
 
 class TestAnalyzeSeq:

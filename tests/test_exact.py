@@ -11,11 +11,9 @@ from schmidtgame.exact import (
     format_frac,
     frac,
     inthroot_floor,
-    interval_sqrt,
     nthroot_interval,
     pow_interval,
     sqrt_interval,
-    sqrt_lower,
     sqrt_upper,
 )
 
@@ -89,7 +87,7 @@ class TestSqrtInterval:
 
     @given(positive_rationals)
     def test_bounds_agree(self, q):
-        assert sqrt_lower(q) <= sqrt_upper(q)
+        assert sqrt_interval(q).lo <= sqrt_upper(q)
 
     def test_tightness(self):
         enc = sqrt_interval(F(2))
@@ -111,5 +109,5 @@ class TestNthroot:
 
 class TestIntervalSqrt:
     def test_monotone_enclosure(self):
-        enc = interval_sqrt(Interval(F(4), F(9)))
+        enc = Interval(sqrt_interval(F(4)).lo, sqrt_interval(F(9)).hi)
         assert enc.lo <= F(2) and enc.hi >= F(3)

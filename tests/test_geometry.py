@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schmidtgame.exact import sqrt_interval
 from schmidtgame.geometry import (
     Ball,
     DimensionMismatch,
@@ -13,8 +14,6 @@ from schmidtgame.geometry import (
     dist2,
     dot,
     norm2,
-    norm_interval,
-    point_on_slab_side,
     schmidt_leq,
     slab_ball_distance,
     slab_distance_exceeds,
@@ -91,15 +90,17 @@ class TestSlabDistance:
 class TestPointOnSlabSide:
     def test_inside_and_outside(self):
         slab = SlabConstraint((F(1),), F(0), F(1, 4))
-        assert not point_on_slab_side((F(0),), slab)
-        assert point_on_slab_side((F(1, 2),), slab)
+        # a point is the limit of small balls
+        tiny = F(1, 10 ** 6)
+        assert not slab_distance_exceeds(Ball((F(0),), tiny), slab, F(0))
+        assert slab_distance_exceeds(Ball((F(1, 2),), tiny), slab, F(0))
 
 
 class TestVectorHelpers:
     @given(st.lists(coords, min_size=1, max_size=3))
     def test_norm_interval_encloses(self, xs):
         v = tuple(xs)
-        enc = norm_interval(v)
+        enc = sqrt_interval(norm2(v))
         assert enc.lo ** 2 <= norm2(v) <= enc.hi ** 2
 
     def test_dot_dist(self):

@@ -28,7 +28,6 @@ from schmidtgame.matseq import (
     poly_divmod,
     poly_eval,
     rref,
-    solve_square,
     spectral_radius_gt_one,
     sturm_chain,
     sturm_count,
@@ -37,6 +36,16 @@ from schmidtgame.matseq import (
 
 ROTATION_90 = ((F(0), F(-1)), (F(1), F(0)))
 UNIPOTENT = ((F(1), F(1)), (F(0), F(1)))
+
+
+
+def solve_square(A, b):
+    """Solve A x = b for square invertible A by rref; None when singular."""
+    n = len(A)
+    R, pivots = rref(tuple(row + (bi,) for row, bi in zip(A, b)))
+    if pivots != list(range(n)):
+        return None
+    return tuple(R[i][n] for i in range(n))
 
 
 class TestExactLinearAlgebra:

@@ -6,12 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from typing import List, Optional, Sequence, Tuple
+
 from schmidtgame.engine import GameConfig, Variant, run_game, validate_transcript
-from schmidtgame.geometry import Ball, SlabConstraint, slab_distance_exceeds
+from schmidtgame.geometry import Ball, SlabConstraint, Vec, norm2, slab_distance_exceeds, vadd
 from schmidtgame.matseq import MatrixSequence
 from schmidtgame.strategies import (
     CertificateError,
     NoFeasibleCenter,
+    _exact_avoided,
+    _slab_tables,
     Theorem42Alice,
     avoidance_move,
     bob_adversaries,
@@ -22,7 +26,7 @@ from schmidtgame.strategies import (
     single_escape,
     virtual_beta,
 )
-from schmidtgame.supports import DecayParams, SupportModel
+from schmidtgame.supports import DecayParams, SupportModel, ball_grid, epsilon_for
 from schmidtgame.targets import TargetFamily
 
 
@@ -123,6 +127,116 @@ class TestAvoidanceMove:
         slab = SlabConstraint((F(1),), F(0), F(10))
         with pytest.raises(NoFeasibleCenter):
             single_escape(K, Ball((F(0),), F(1)), slab, F(1, 5))
+
+
+def _grid_step(alpha: F, rho: F, n: int) -> F:
+    # same covering grid as candidate_centers on a Euclidean support
+    return alpha * rho / (4 * math.ceil(math.sqrt(n)))
+
+
+def _reference_avoid(
+    K: SupportModel, ball: Ball, slabs: Sequence[SlabConstraint],
+    alpha: F, need: int,
+) -> Tuple[Vec, List[int]]:
+    """The full-cube screen with a stable argsort, kept as the reference."""
+    import numpy as np
+
+    rho = ball.radius
+    n = ball.dim
+    margin = 3 * alpha * rho / 4
+    step = _grid_step(alpha, rho, n)
+    span = (1 - alpha) * rho
+    m = int(span / step)
+    axis = np.arange(-m, m + 1)
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1).astype(float)
+    h = float(step / rho)
+    w = pts * h  # grid offsets in units of rho
+    inside = (w * w).sum(axis=1) <= float(span / rho) ** 2 + 1e-12
+    units, offs, thresh = _slab_tables(ball, slabs, alpha)
+    dists = np.abs(w @ units.T - offs)
+    counts = (dists > thresh).sum(axis=1)
+    counts[~inside] = -1
+    order = np.argsort(-counts, kind="stable")
+    best: Optional[Tuple[int, Vec, List[int]]] = None
+    span2 = span * span
+    for rank in range(min(len(order), 200)):
+        idx = int(order[rank])
+        if counts[idx] < 0:
+            break
+        off = tuple(step * int(pts[idx][d]) for d in range(n))
+        if norm2(off) > span2:
+            continue  # float inclusion was optimistic; drop the point
+        u = vadd(ball.center, off)
+        avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
+        if best is None or len(avoided) > best[0]:
+            best = (len(avoided), u, avoided)
+        if len(avoided) >= need:
+            return u, avoided
+    raise NoFeasibleCenter(
+        f"best candidate clears {0 if best is None else best[0]} of "
+        f"{len(slabs)} slabs, needed {need}"
+    )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NoFeasibleCenter as e:
+        return ("no feasible center", str(e))
+
+
+class TestCachedGridScreen:
+    """The cached in-ball grid and bucketed pick match the full-cube screen."""
+
+    ALPHAS = {1: (F(1, 4), F(1, 5), F(1, 10)), 2: (F(1, 4), F(1, 5), F(1, 10)),
+              3: (F(1, 4), F(9, 50))}
+
+    def _instances(self, n, count, seed):
+        rng = random.Random(seed)
+        K = SupportModel.euclidean(n, DecayParams(C=F(1), gamma=F(1), ambient_dim=n))
+        for i in range(count):
+            alpha = rng.choice(self.ALPHAS[n])
+            rho = rng.choice((F(1), F(2, 7), F(3, 10 ** 40)))
+            center = tuple(F(rng.randint(-99, 99), rng.randint(1, 50)) for _ in range(n))
+            slabs = []
+            for _ in range(rng.randint(1, 20)):
+                normal = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+                if all(x == 0 for x in normal):
+                    normal = (F(1),) + (F(0),) * (n - 1)
+                anchor = tuple(c + rho * F(rng.randint(-90, 90), 100) for c in center)
+                offset = sum(a * b for a, b in zip(normal, anchor))
+                # every fourth instance has slabs wide enough to leave no room
+                scale = 8 if i % 4 == 3 else F(1, 8)
+                hw = F(rng.randint(0, 8), 8) * alpha * rho * scale
+                slabs.append(SlabConstraint(normal, offset, hw))
+            yield K, Ball(center, rho), slabs, alpha
+
+    @pytest.mark.parametrize("n,count", [(1, 40), (2, 30), (3, 12)])
+    def test_matches_full_cube_reference(self, n, count):
+        infeasible = 0
+        for K, ball, slabs, alpha in self._instances(n, count, 1000 + n):
+            need = math.ceil(epsilon_for(K.decay, alpha) * len(slabs))
+            got = _outcome(lambda: avoidance_move(K, ball, slabs, alpha))
+            want = _outcome(lambda: _reference_avoid(K, ball, slabs, alpha, need))
+            assert got == want
+            infeasible += got[0] == "no feasible center"
+        assert 0 < infeasible < count
+
+    def test_second_call_reuses_grid(self):
+        K = SupportModel.euclidean(3, DecayParams(C=F(2), gamma=F(1), ambient_dim=3))
+        slab = SlabConstraint((F(1), F(2), F(0)), F(0), F(1, 100))
+        avoidance_move(K, Ball((F(0),) * 3, F(1)), [slab], F(9, 50))
+        before = ball_grid.cache_info()
+        avoidance_move(K, Ball((F(1, 3),) * 3, F(1, 10 ** 30)), [slab], F(9, 50))
+        after = ball_grid.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+    def test_grid_is_read_only(self):
+        pts, w, inside = ball_grid(2, F(1, 8), F(3, 4))
+        for a in (pts, w, inside):
+            assert not a.flags.writeable
 
 
 class TestEpochConstraints:

@@ -1,11 +1,12 @@
 """Support models: decay parameters, IFS attractors, candidate centers."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from schmidtgame.geometry import Ball, dist2
+from schmidtgame.geometry import Ball, dist2, vadd
 from schmidtgame.supports import (
     DecayParams,
     Similarity,
@@ -14,7 +15,6 @@ from schmidtgame.supports import (
     epsilon_for,
     estimate_decay,
     max_alpha,
-    nearest_on_support,
     pointwise_dim_lower,
 )
 
@@ -69,6 +69,31 @@ class TestEuclideanSupport:
         for u in cands:
             assert dist2(u, ball.center) <= span2
 
+    @staticmethod
+    def _product_grid(n, ball, alpha):
+        """The Euclidean candidate mesh built point by point."""
+        rho = ball.radius
+        reach2 = ((1 - alpha) * rho) ** 2
+        root_n = 1 if n == 1 else 2  # ceil(sqrt(n)) for n <= 4
+        step = alpha * rho / 4 / root_n
+        span = math.floor((1 - alpha) * rho / step)
+        out = []
+        for z in itertools.product(*[range(-span, span + 1)] * n):
+            off = tuple(step * zi for zi in z)
+            if sum(o * o for o in off) <= reach2:
+                out.append(vadd(ball.center, off))
+        return sorted(out)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_candidate_centers_match_product_grid(self, n):
+        K = SupportModel.euclidean(n, DecayParams(C=F(1), gamma=F(1), ambient_dim=n))
+        # the 3-D mesh at alpha = 9/50 has about 200k points; one alpha is enough
+        for alpha in (F(9, 50), F(1, 4), F(1, 3)) if n < 3 else (F(1, 3),):
+            for center, rho in (((F(0),) * n, F(1)), ((F(1, 3),) * n, F(2, 7 * 10 ** 30))):
+                ball = Ball(center, rho)
+                got = candidate_centers(K, ball, alpha)
+                assert got == self._product_grid(n, ball, alpha)
+
 
 class TestCantorSupport:
     def test_membership(self):
@@ -110,7 +135,8 @@ class TestCantorSupport:
 
     def test_nearest_on_support(self):
         K = cantor_set()
-        (u,) = nearest_on_support(K, (F(1, 2),), F(1, 100))
+        cells = K.cells_meeting_ball(Ball((F(1, 2),), F(1, 4)), F(1, 100))
+        (u,) = min((c.apply(K.base_point) for c in cells), key=lambda p: abs(p[0] - F(1, 2)))
         assert K.on_support((u,))
         assert abs(u - F(1, 2)) < F(1, 4)
 

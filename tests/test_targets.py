@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schmidtgame.exact import sqrt_interval
 from schmidtgame.targets import (
     TargetFamily,
     dist2_to_targets,
-    dist_to_targets,
     points_near,
 )
 
@@ -68,5 +68,5 @@ class TestExplicitFamily:
 class TestDistInterval:
     def test_encloses_exact_distance(self):
         fam = TargetFamily.lattice([F(1, 2)])
-        enc = dist_to_targets(fam, 1, (F(1, 4),))
+        enc = sqrt_interval(dist2_to_targets(fam, 1, (F(1, 4),)))
         assert enc.lo <= F(1, 4) <= enc.hi
