@@ -45,7 +45,7 @@ from .supports import (
     grid_step,
     max_alpha,
 )
-from .targets import TargetFamily, points_near
+from .targets import TargetFamily, nearest_point, points_near
 
 
 class NoFeasibleCenter(RuntimeError):
@@ -760,10 +760,9 @@ class ChaseBob:
         M = self.seq.matrix(k)
         img = mat_vec(M, center)
         reach = t.hi * rho * 4 + self.targets.delta
-        ys = points_near(self.targets, k, img, reach)
-        if not ys:
+        best = nearest_point(self.targets, k, img)
+        if best is None or dist2(best, img) > reach * reach:
             return None
-        best = min(ys, key=lambda y: dist2(y, img))
         return _preimage_min_norm(M, best)
 
     def propose(self, transcript, outer: Ball):

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import frac, pow_interval, sqrt_upper
-from .geometry import Ball, Vec, as_vec, dist2, vadd, vscale
+from .geometry import Ball, Vec, as_vec, dist2, schmidt_leq, vadd, vscale
 
 _MAX_ALPHA_REL = Fraction(1, 10 ** 7)
 
@@ -140,6 +140,10 @@ class SupportModel:
     box_lo: Vec = ()
     box_hi: Vec = ()
     resolution_depth: int = 0
+    # (ball, mesh, cells) of the last cells_meeting_ball query
+    _frontier: Optional[Tuple[Ball, Fraction, Tuple[_Cell, ...]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @staticmethod
     def euclidean(dim: int, decay: DecayParams) -> "SupportModel":
@@ -219,12 +223,26 @@ class SupportModel:
         return dist2(self.box_lo, self.box_hi)
 
     def cells_meeting_ball(self, ball: Ball, mesh: Fraction) -> List[_Cell]:
-        """All cells of diameter <= mesh whose box meets the ball (exact tests)."""
+        """All cells of diameter <= mesh whose box meets the ball and whose
+        parent is wider than mesh, in depth-first order (exact tests).
+
+        The walk resumes from the previous query's cells, instead of the
+        root, when the ball lies inside the previous ball (schmidt_leq) and
+        mesh is at most the previous mesh.  The answer is the same: the
+        first ancestor of diameter <= the previous mesh of any answer cell
+        has a box that contains the cell's box, so it meets the previous
+        ball and was a previous cell; and the parent of every previous cell
+        is wider than the previous mesh, hence than mesh.  A game's queries
+        are nested with shrinking mesh, so each visits a bounded number of
+        cells instead of walking down from the root.
+        """
         mesh = Fraction(mesh)
+        prev = self._frontier
+        resume = prev is not None and mesh <= prev[1] and schmidt_leq(ball, prev[0])
+        stack = list(reversed(prev[2])) if resume else [self.root_cell()]
         r2 = ball.radius * ball.radius
         diam2 = self._diam2()
         out: List[_Cell] = []
-        stack = [self.root_cell()]
         while stack:
             cell = stack.pop()
             lo, hi = self.cell_box(cell)
@@ -235,6 +253,7 @@ class SupportModel:
             else:
                 for b in range(len(self.maps)):
                     stack.append(cell.child(b, self.maps))
+        self._frontier = (ball, mesh, tuple(out))
         return out
 
     def _descend_toward(self, cell: _Cell, x: Vec, extra_depth: int) -> _Cell:
@@ -256,22 +275,30 @@ class SupportModel:
     # -- public queries -----------------------------------------------------
 
     def on_support(self, x) -> bool:
-        """Membership check at the working resolution depth (exact for Euclidean)."""
+        """Membership at the working resolution depth (exact for Euclidean).
+
+        True iff x lies in the box of some word of length resolution_depth.
+        x lies in the box of the word (b1, ..., bd) iff the inverse maps
+        y -> (y - t_b) / r_b, applied for b1 first and bd last, keep x
+        inside the bounding box at every step; so the walk carries one
+        pulled-back point per node instead of a cell and its box corners.
+        Depth-limited: a point off K but within a depth-d cell is accepted.
+        """
         x = as_vec(x)
         if len(x) != self.dim:
             return False
         if self.kind == "euclidean":
             return True
-        stack = [self.root_cell()]
+        inverses = [(1 / m.ratio, m.translation) for m in self.maps]
+        stack = [(x, 0)]
         while stack:
-            cell = stack.pop()
-            lo, hi = self.cell_box(cell)
-            if _box_dist2(lo, hi, x) > 0:
+            y, depth = stack.pop()
+            if any(yi < a or yi > b for yi, a, b in zip(y, self.box_lo, self.box_hi)):
                 continue
-            if len(cell.word) >= self.resolution_depth:
+            if depth >= self.resolution_depth:
                 return True
-            for b in range(len(self.maps)):
-                stack.append(cell.child(b, self.maps))
+            for inv, t in inverses:
+                stack.append((tuple((yi - ti) * inv for yi, ti in zip(y, t)), depth + 1))
         return False
 
 
@@ -316,7 +343,11 @@ def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]
 
     Mesh size alpha*radius/4: any point of K in the shrunken ball has a
     candidate within that distance, which is the slack the avoidance move
-    budgets for.
+    budgets for.  On an IFS the cells come from a walk over the outer ball,
+    not the shrunken one: the outer balls of a game are nested and their
+    meshes shrink, so cells_meeting_ball resumes from the previous round's
+    cells, while shrunken balls need not be nested.  The walk's cells whose
+    box meets the shrunken ball are exactly the cells meeting it.
     """
     alpha = Fraction(alpha)
     rho = ball.radius
@@ -334,10 +365,11 @@ def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]
     # IFS: cells of diameter <= mesh meeting the shrunken ball, one exact
     # representative each, pushed toward the ball center until it lands
     # inside the shrunken ball.
-    shrunk = Ball(ball.center, reach)
-    cells = K.cells_meeting_ball(shrunk, mesh)
     out = []
-    for cell in cells:
+    for cell in K.cells_meeting_ball(ball, mesh):
+        lo, hi = K.cell_box(cell)
+        if _box_dist2(lo, hi, ball.center) > reach2:
+            continue
         p = cell.apply(K.base_point)
         if dist2(p, ball.center) > reach2:
             deeper = K._descend_toward(cell, ball.center, 64)

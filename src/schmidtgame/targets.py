@@ -15,6 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .geometry import Vec, as_vec, dist2
 
+_HALF = Fraction(1, 2)
+
 
 @dataclass
 class TargetFamily:
@@ -93,19 +95,27 @@ def points_near(family: TargetFamily, k: int, center, radius: Fraction) -> List[
     return sorted(p for p in pts if dist2(p, center) <= r2)
 
 
-def dist2_to_targets(family: TargetFamily, k: int, p) -> Optional[Fraction]:
-    """Exact squared distance from p to Z_k; None when Z_k is empty."""
+def nearest_point(family: TargetFamily, k: int, p) -> Optional[Vec]:
+    """The point of Z_k nearest p, lexicographically smallest on a tie;
+    None when Z_k is empty.
+
+    On a lattice translate y + Z^m each coordinate rounds on its own to
+    y_i + ceil(p_i - y_i - 1/2), which takes the smaller of two equally
+    near integers; the lexicographic minimum of the product of the
+    per-coordinate minimisers is that choice in every coordinate.
+    """
     p = as_vec(p)
     if family.kind == "lattice":
         y = family.base(k)
-        total = Fraction(0)
-        for pi, yi in zip(p, y):
-            t = pi - yi
-            fl = math.floor(t)
-            d = min(t - fl, fl + 1 - t)
-            total += d * d
-        return total
+        return tuple(yi + math.ceil(pi - yi - _HALF) for pi, yi in zip(p, y))
     pts = (family._points or {}).get(k, [])
     if not pts:
         return None
-    return min(dist2(p, q) for q in pts)
+    return min(pts, key=lambda q: (dist2(q, p), q))
+
+
+def dist2_to_targets(family: TargetFamily, k: int, p) -> Optional[Fraction]:
+    """Exact squared distance from p to Z_k; None when Z_k is empty."""
+    p = as_vec(p)
+    q = nearest_point(family, k, p)
+    return None if q is None else dist2(p, q)

@@ -27,25 +27,24 @@ class TestPlay:
         assert (tmp_path / "transcript.jsonl").exists()
 
     def test_deterministic_bytes(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert (
-                main(
-                    [
-                        "play",
-                        "--config",
-                        config("pow3_classic.json"),
-                        "--seed",
-                        "5",
-                        "--out",
-                        str(out),
-                    ]
+        # another Cantor game, played between the two runs of each config,
+        # must leave nothing behind that changes the second run
+        other = json.loads(open(config("cantor_pow2.json")).read())
+        other["game"]["center"] = ["3/4"]
+        other["strategy"]["bob"] = "random"
+        between = tmp_path / "between.json"
+        between.write_text(json.dumps(other))
+        for name in ("pow3_classic.json", "cantor_pow2.json", "dim2_classic.json"):
+            runs = []
+            for out in ("a", "between", "b"):
+                cfg = str(between) if out == "between" else config(name)
+                path = tmp_path / name / out
+                assert (
+                    main(["play", "--config", cfg, "--seed", "5", "--out", str(path)])
+                    == 0
                 )
-                == 0
-            )
-        assert (out1 / "transcript.jsonl").read_bytes() == (
-            out2 / "transcript.jsonl"
-        ).read_bytes()
+                runs.append((path / "transcript.jsonl").read_bytes())
+            assert runs[0] == runs[2], name
 
     def test_greedy_mode(self, tmp_path, capsys):
         code = main(

@@ -21,12 +21,21 @@ from schmidtgame.engine import (
 from schmidtgame.geometry import Ball
 from schmidtgame.matseq import MatrixSequence
 from schmidtgame.strategies import CenteredAlice, MaximalBob
-from schmidtgame.supports import DecayParams, SupportModel
+from schmidtgame.supports import DecayParams, Similarity, SupportModel
 from schmidtgame.targets import TargetFamily
 
 
 def line_support():
     return SupportModel.euclidean(1, DecayParams(C=F(1), gamma=F(1), ambient_dim=1))
+
+
+def cantor_support():
+    return SupportModel.ifs(
+        [Similarity(F(1, 3), (F(0),)), Similarity(F(1, 3), (F(2, 3),))],
+        (F(0),),
+        (F(1),),
+        DecayParams(C=F(33, 16), gamma=F(5, 8), ambient_dim=1),
+    )
 
 
 def classic_config(max_rounds=5):
@@ -59,6 +68,13 @@ class EscapingBob:
     def propose(self, transcript, outer):
         # correct radius but a center violating containment
         return Ball((outer.center[0] + outer.radius,), outer.radius / 2), {}
+
+
+class OffSupportBob:
+    """A legal radius and containment, but the center 1/2 is off the Cantor set."""
+
+    def propose(self, transcript, outer):
+        return Ball((F(1, 2),), outer.radius / 2), {}
 
 
 class TestRunGame:
@@ -95,18 +111,23 @@ class TestRunGame:
         assert validate_transcript(t, cfg)
 
     def test_initial_center_must_be_on_support(self):
-        from schmidtgame.supports import Similarity
-
-        cantor = SupportModel.ifs(
-            [Similarity(F(1, 3), (F(0),)), Similarity(F(1, 3), (F(2, 3),))],
-            (F(0),),
-            (F(1),),
-            DecayParams(C=F(33, 16), gamma=F(5, 8), ambient_dim=1),
-        )
+        cantor = cantor_support()
         with pytest.raises(ValueError):
             GameConfig(
                 F(1, 4), F(1, 2), Variant.CLASSIC, cantor, Ball((F(1, 2),), F(1)), 3
             )
+
+    def test_off_support_center_forfeits(self):
+        cantor = cantor_support()
+        # Alice keeps the center 1/3 at radius 1, so B(1/2, 1/2) is contained
+        cfg = GameConfig(
+            F(1, 4), F(1, 2), Variant.CLASSIC, cantor, Ball((F(1, 3),), F(4)), 3
+        )
+        with pytest.raises(InvalidMove) as e:
+            run_game(cfg, CenteredAlice(F(1, 4)), OffSupportBob())
+        assert e.value.player is Player.BOB
+        assert e.value.round_no == 1
+        assert "center is off the support" in str(e.value)
 
 
 class TestValidateTranscript:

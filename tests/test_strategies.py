@@ -9,11 +9,15 @@ import pytest
 from typing import List, Optional, Sequence, Tuple
 
 from schmidtgame.engine import GameConfig, Variant, run_game, validate_transcript
-from schmidtgame.geometry import Ball, SlabConstraint, Vec, norm2, slab_distance_exceeds, vadd
-from schmidtgame.matseq import MatrixSequence
+from schmidtgame.geometry import (
+    Ball, SlabConstraint, Vec, dist2, norm2, slab_distance_exceeds, vadd,
+)
+from schmidtgame.matseq import MatrixSequence, mat_vec
 from schmidtgame.strategies import (
     CertificateError,
+    ChaseBob,
     NoFeasibleCenter,
+    _preimage_min_norm,
     _exact_avoided,
     _slab_tables,
     Theorem42Alice,
@@ -27,7 +31,7 @@ from schmidtgame.strategies import (
     virtual_beta,
 )
 from schmidtgame.supports import DecayParams, SupportModel, ball_grid, epsilon_for
-from schmidtgame.targets import TargetFamily
+from schmidtgame.targets import TargetFamily, points_near
 
 
 def line_support(C=F(1)):
@@ -317,6 +321,60 @@ class TestAdversaries:
             )
             finals.append(run_game(cfg, alice, bob, seed=11).final_enclosure)
         assert finals[0] == finals[1]
+
+
+def _reference_nearest_preimage(bob: ChaseBob, k: int, center: Vec, rho: F):
+    """The chase target as ChaseBob found it by listing every point in reach."""
+    t = bob.seq.t(k)
+    M = bob.seq.matrix(k)
+    img = mat_vec(M, center)
+    reach = t.hi * rho * 4 + bob.targets.delta
+    ys = points_near(bob.targets, k, img, reach)
+    if not ys:
+        return None
+    return _preimage_min_norm(M, min(ys, key=lambda y: dist2(y, img)))
+
+
+class TestChaseRounding:
+    @pytest.mark.parametrize(
+        "base, y",
+        [
+            (((F(2),),), [F(1, 2)]),
+            (((F(2), F(0)), (F(0), F(3))), [F(0), F(0)]),
+            (((F(2), F(1)), (F(1), F(1))), [F(1, 3), F(-2, 5)]),
+        ],
+    )
+    def test_matches_points_near_min(self, base, y):
+        seq = MatrixSequence.powers(base)
+        bob = ChaseBob(seq, TargetFamily.lattice(y))
+        rng = random.Random(31 * len(base) + int(base[0][0]))
+        ties = 0
+        for _ in range(60):
+            k = rng.randrange(1, 6)
+            rho = F(1, rng.choice([200, 1000, 10 ** 4]))
+            center = tuple(F(rng.randrange(-500, 501), 1000) for _ in y)
+            if rng.random() < 0.5:
+                # an image on an exact half-integer tie in every coordinate
+                tie = tuple(yi + rng.randrange(-3, 4) + F(1, 2) for yi in y)
+                center = _preimage_min_norm(seq.matrix(k), tie)
+                assert mat_vec(seq.matrix(k), center) == tie
+                ties += 1
+            got = bob._nearest_preimage(k, center, rho)
+            assert got is not None
+            assert got == _reference_nearest_preimage(bob, k, center, rho)
+        assert ties > 10
+
+    def test_empty_reach_and_explicit_family(self):
+        seq = MatrixSequence.powers(((F(2),),))
+        targets = TargetFamily.explicit(
+            {1: [(F(50),)], 2: [(F(7),), (F(1, 3),)], 4: [(F(1),), (F(-1),)]}, F(1)
+        )
+        bob = ChaseBob(seq, targets)
+        rho = F(1, 100)
+        expected = {1: None, 2: (F(1, 12),), 3: None, 4: (F(-1, 16),)}
+        for k, want in expected.items():
+            assert bob._nearest_preimage(k, (F(0),), rho) == want
+            assert _reference_nearest_preimage(bob, k, (F(0),), rho) == want
 
 
 class TestIntersection:

@@ -2,15 +2,18 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from schmidtgame.geometry import Ball, dist2, vadd
+from schmidtgame.geometry import Ball, as_vec, dist2, schmidt_leq, vadd
 from schmidtgame.supports import (
     DecayParams,
     Similarity,
     SupportModel,
+    _box_dist2,
+    _Cell,
     candidate_centers,
     epsilon_for,
     estimate_decay,
@@ -30,6 +33,25 @@ def cantor_set():
     ]
     decay = DecayParams(C=F(33, 16), gamma=F(5, 8), ambient_dim=1)
     return SupportModel.ifs(maps, (F(0),), (F(1),), decay)
+
+
+def unequal_ifs():
+    """Two maps with ratios 1/3 and 1/2: images [0, 1/3] and [1/2, 1]."""
+    maps = [
+        Similarity(F(1, 3), (F(0),)),
+        Similarity(F(1, 2), (F(1, 2),)),
+    ]
+    return SupportModel.ifs(maps, (F(0),), (F(1),), DecayParams(C=F(4), gamma=F(1, 2)))
+
+
+def corner_ifs():
+    """A 2-D IFS whose two image boxes touch at the corner (1/2, 1/2)."""
+    maps = [
+        Similarity(F(1, 2), (F(0), F(0))),
+        Similarity(F(1, 2), (F(1, 2), F(1, 2))),
+    ]
+    decay = DecayParams(C=F(4), gamma=F(1, 2), ambient_dim=2)
+    return SupportModel.ifs(maps, (F(0), F(0)), (F(1), F(1)), decay)
 
 
 class TestDecayParams:
@@ -139,6 +161,157 @@ class TestCantorSupport:
         (u,) = min((c.apply(K.base_point) for c in cells), key=lambda p: abs(p[0] - F(1, 2)))
         assert K.on_support((u,))
         assert abs(u - F(1, 2)) < F(1, 4)
+
+
+def _reference_cells(K, ball, mesh):
+    """cells_meeting_ball as a walk from the root on every query."""
+    r2 = ball.radius ** 2
+    diam2 = dist2(K.box_lo, K.box_hi)
+    out = []
+    stack = [_Cell(word=(), scale=F(1), shift=(F(0),) * K.dim)]
+    while stack:
+        cell = stack.pop()
+        if _box_dist2(cell.apply(K.box_lo), cell.apply(K.box_hi), ball.center) > r2:
+            continue
+        if cell.scale ** 2 * diam2 <= mesh ** 2:
+            out.append(cell)
+        else:
+            stack.extend(cell.child(b, K.maps) for b in range(len(K.maps)))
+    return out
+
+
+def _reference_on_support(K, x):
+    """on_support as a forward walk over cell boxes, down to the same depth."""
+    x = as_vec(x)
+    stack = [_Cell(word=(), scale=F(1), shift=(F(0),) * K.dim)]
+    while stack:
+        cell = stack.pop()
+        if _box_dist2(cell.apply(K.box_lo), cell.apply(K.box_hi), x) > 0:
+            continue
+        if len(cell.word) >= K.resolution_depth:
+            return True
+        stack.extend(cell.child(b, K.maps) for b in range(len(K.maps)))
+    return False
+
+
+def _queries(K, rng, rounds):
+    """Seeded (ball, mesh, resumes) triples.  Most balls lie inside the
+    previous one with a mesh no coarser; now and then the next ball is
+    shifted out of the previous one, or the mesh gets coarser, and the walk
+    must start again from the root."""
+    word = [rng.randrange(len(K.maps)) for _ in range(60)]
+    ball = Ball(K.cell_point(word), F(1, 2))
+    mesh = ball.radius / 36
+    out = [(ball, mesh, False)]
+    for _ in range(rounds):
+        u = rng.random()
+        if u < 0.1:
+            shift = (ball.radius / 2,) + (F(0),) * (K.dim - 1)
+            ball = Ball(vadd(ball.center, shift), ball.radius)
+            resumes = False
+        elif u < 0.2:
+            mesh = 2 * mesh
+            resumes = False
+        else:
+            radius = ball.radius / rng.choice([1, 2, 3, 4, 9])
+            slack = ball.radius - radius
+            # |q_i| <= 5/8 keeps the shift within the slack for dim <= 2
+            shift = tuple(slack * F(rng.randrange(-5, 6), 8) for _ in range(K.dim))
+            ball = Ball(vadd(ball.center, shift), radius)
+            mesh = min(mesh, radius / rng.choice([4, 8, 36]))
+            resumes = True
+        out.append((ball, mesh, resumes))
+    return out
+
+
+class TestResumedWalk:
+    @pytest.mark.parametrize("make", [cantor_set, unequal_ifs])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_walk_from_root(self, make, seed, monkeypatch):
+        K = make()
+        roots = []
+        root_cell = K.root_cell
+        monkeypatch.setattr(K, "root_cell", lambda: roots.append(1) or root_cell())
+        prev = None
+        queries = _queries(K, random.Random(seed), 40)
+        assert 0 < sum(q[2] for q in queries) < len(queries) - 1
+        for ball, mesh, resumes in queries:
+            if resumes:
+                assert schmidt_leq(ball, prev[0]) and mesh <= prev[1]
+            elif prev is not None:
+                assert not (schmidt_leq(ball, prev[0]) and mesh <= prev[1])
+            before = len(roots)
+            assert K.cells_meeting_ball(ball, mesh) == _reference_cells(K, ball, mesh)
+            assert (len(roots) == before) == resumes
+            prev = (ball, mesh)
+
+    def test_repeated_query_is_stable(self):
+        K = cantor_set()
+        ball = Ball((F(1, 4),), F(1, 10))
+        first = K.cells_meeting_ball(ball, F(1, 500))
+        assert K.cells_meeting_ball(ball, F(1, 500)) == first
+        assert first == _reference_cells(K, ball, F(1, 500))
+
+    def test_cells_visited_per_call_stay_bounded(self, monkeypatch):
+        """Nested queries down to depth 80 visit as few cells per call as the
+        first ones do; one walk from the root at that depth visits 183."""
+        visits = [0]
+        cell_box = SupportModel.cell_box
+
+        def counting(self, cell):
+            visits[0] += 1
+            return cell_box(self, cell)
+
+        monkeypatch.setattr(SupportModel, "cell_box", counting)
+        K = cantor_set()
+        x = K.cell_point([0, 1, 1] * 30)
+        ball = Ball(x, F(1, 2))
+        per_call = []
+        for _ in range(80):
+            visits[0] = 0
+            K.cells_meeting_ball(ball, ball.radius / 36)
+            per_call.append(visits[0])
+            ball = Ball(x, ball.radius / 3)
+        visits[0] = 0
+        cantor_set().cells_meeting_ball(ball, ball.radius / 36)
+        assert max(per_call[1:]) == max(per_call[60:]) == 22
+        assert visits[0] == 183
+
+
+class TestMembershipByInverseMaps:
+    @pytest.mark.parametrize("make", [cantor_set, unequal_ifs, corner_ifs])
+    def test_matches_forward_walk(self, make):
+        K = make()
+        rng = random.Random(7)
+        xs = []
+        for _ in range(150):
+            word = [rng.randrange(len(K.maps)) for _ in range(rng.randrange(1, 30))]
+            p = K.cell_point(word)
+            eps = F(1, rng.choice([3, 2, 6]) ** rng.randrange(1, 25))
+            xs += [p, tuple(pi + eps for pi in p), tuple(pi - eps for pi in p)]
+            xs.append(tuple(F(rng.randrange(-10, 111), 100) for _ in range(K.dim)))
+            xs.append(tuple(F(rng.randrange(0, 3 ** 6 + 1), 3 ** 6) for _ in range(K.dim)))
+        for x in xs:
+            assert K.on_support(x) == _reference_on_support(K, x), x
+        assert any(K.on_support(x) for x in xs)
+        assert not all(K.on_support(x) for x in xs)
+
+    def test_box_edges(self):
+        K = cantor_set()
+        for x in (0, 1, F(1, 3), F(2, 3), F(1, 9), F(8, 9), F(1, 2), F(-1, 3), F(4, 3)):
+            assert K.on_support((F(x),)) == _reference_on_support(K, (F(x),))
+        assert K.on_support((F(1, 3),)) and K.on_support((F(2, 3),))
+        C = corner_ifs()
+        assert C.on_support((F(1, 2), F(1, 2)))
+        assert not C.on_support((F(1, 2), F(1, 4)))
+
+    def test_depth_limited_gap_is_unchanged(self):
+        """1/4 + 3^-30 is off the Cantor set but inside the depth-20 cell
+        around 1/4, so the depth-20 test accepts it, as it did before."""
+        K = cantor_set()
+        x = (F(1, 4) + F(1, 3 ** 30),)
+        assert K.on_support(x) is True
+        assert _reference_on_support(K, x) is True
 
 
 class TestEstimators:
