@@ -91,6 +91,9 @@ def _int(x) -> int:
 
 
 def _vec(data) -> Tuple[Fraction, ...]:
+    # a string would be read character by character: "12" as (1, 2)
+    if not isinstance(data, list):
+        raise ConfigError(f"not a list of exact rationals: {data!r}")
     return tuple(_num(x) for x in data)
 
 
@@ -116,14 +119,21 @@ def _build_support(cfg: Dict) -> SupportModel:
 
 def _build_sequence(cfg: Dict) -> MatrixSequence:
     kind = cfg.get("kind")
-    if kind == "powers":
-        return MatrixSequence.powers(tuple(_vec(row) for row in cfg["base"]))
-    if kind == "rows":
-        return MatrixSequence.rows([_vec(r) for r in cfg["rows"]])
-    if kind == "explicit":
-        return MatrixSequence.explicit(
-            [tuple(_vec(row) for row in m) for m in cfg["matrices"]]
-        )
+    try:
+        if kind == "powers":
+            return MatrixSequence.powers(tuple(_vec(row) for row in cfg["base"]))
+        if kind == "rows":
+            return MatrixSequence.rows([_vec(r) for r in cfg["rows"]])
+        if kind == "explicit":
+            return MatrixSequence.explicit(
+                [tuple(_vec(row) for row in m) for m in cfg["matrices"]]
+            )
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        # a number where a list of rows belongs; a ragged, empty or
+        # non-square matrix, a zero matrix or row, or unequal shapes
+        raise ConfigError(f"sequence: {e}") from e
     raise ConfigError(f"unknown sequence kind {kind!r}")
 
 

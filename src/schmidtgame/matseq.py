@@ -1,17 +1,18 @@
 """Matrix sequences: certified operator norms, lacunarity, Kronecker orders.
 
 Certification never relies on floating point; float eigensolvers only seed
-good rational guesses.  Every question about the symmetric A = M^T M is
-answered by one exact primitive, `inertia(A, x)`: the number of eigenvalues
-above x and the multiplicity of x, read off the pivots of an LDL^T
-factorisation of x*I - A (Sylvester's law of inertia).  The top eigenvalue
-is enclosed between the Rayleigh quotient r of a rationalised float
+good rational guesses.  Norms run in integers: M = N / D over one common
+denominator and M^T M = G / E with G = N^T N, E = D^2.  An inertia count,
+the number of eigenvalues of G / E above x = p/q and the multiplicity of x,
+comes from the pivot signs of a fraction-free (Bareiss) LDL^T elimination
+of p*E*I - q*G (Sylvester's law of inertia).  The top eigenvalue is
+enclosed between the Rayleigh quotient r of a rationalised float
 eigenvector and a slightly larger u, or found exactly at r, by inertia
 counts at r and u; otherwise inertia counts bisect.  The top direction is
 that eigenvector, widened by a residual and gap (Davis-Kahan) bound whose
 gap is certified by one more inertia count, or an exact kernel vector when
-the top eigenvalue is rational.  A sequence computes ||M_k||_op alone and
-builds the top direction, from the cached enclosure, only when asked for it.
+the top eigenvalue is rational.  A sequence computes ||M_k||_op alone, from
+cached integer powers, and builds the top direction only when asked.
 
 The spectral radius test for power sequences goes through the resultant
 trick: the squared moduli |z_i|^2 of the eigenvalues are among the real
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +36,7 @@ from .exact import Interval, frac, sqrt_interval
 from .geometry import Vec, norm2
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers
@@ -55,11 +58,18 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     k2, m = mat_shape(B)
     if k != k2:
         raise ValueError("shape mismatch")
-    Bt = tuple(zip(*B))
-    return tuple(
-        tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in Bt)
-        for row in A
-    )
+    return _product(A, B)
+
+
+def _product(A, B):
+    """A B without a shape check: Fraction entries give Fractions, int entries ints."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*B)) for row in A)
+
+
+def _integer_form(M: Matrix) -> Tuple[IntMatrix, int]:
+    """(N, D): integer N with M = N / D, D the lcm of M's denominators."""
+    D = math.lcm(*(x.denominator for row in M for x in row))
+    return tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in M), D
 
 
 def mat_vec(A: Matrix, x: Vec) -> Vec:
@@ -230,24 +240,31 @@ def charpoly(A: Matrix) -> Poly:
     return list(reversed(cs))
 
 
+def _bareiss_step(X: List[List[int]], rest, k: int, c: int, prev: int) -> None:
+    """Fraction-free elimination of the rows and columns in rest by pivot
+    X[k][c]: each new entry is a minor, so division by prev is exact."""
+    d, pivot_row = X[k][c], X[k]
+    for i in rest:
+        row, f = X[i], X[i][c]
+        for j in rest:
+            row[j] = (d * row[j] - f * pivot_row[j]) // prev
+
+
 def determinant(M: Matrix) -> Fraction:
-    rows = [list(r) for r in M]
-    n = len(rows)
-    det = Fraction(1)
+    """Bareiss elimination of M with each row scaled by its lcm denominator."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in M]
+    X = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(M, scales)]
+    n, sign, prev = len(X), 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if X[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+            X[c], X[pivot] = X[pivot], X[c]
+            sign = -sign
+        _bareiss_step(X, range(c + 1, n), c, c, prev)
+        prev = X[c][c]
+    return Fraction(sign * prev, math.prod(scales))
 
 
 def _modulus_squared_poly(p: Poly) -> Poly:
@@ -266,25 +283,12 @@ def _modulus_squared_poly(p: Poly) -> Poly:
         # q_y(x) = sum_i p_i y^i x^{d-i}; ascending in x: coeff of x^j is
         # p_{d-j} y^{d-j}
         q = [p[d - j] * y ** (d - j) for j in range(d + 1)]
-        size = 2 * d
-        rows = []
-        pa = list(reversed(p))  # descending
-        qa = list(reversed(q))
-        for i in range(d):
-            rows.append(
-                tuple(
-                    pa[j - i] if 0 <= j - i <= d else Fraction(0)
-                    for j in range(size)
-                )
-            )
-        for i in range(d):
-            rows.append(
-                tuple(
-                    qa[j - i] if 0 <= j - i <= d else Fraction(0)
-                    for j in range(size)
-                )
-            )
-        return determinant(tuple(rows))
+        # d shifted rows of each, coefficients in descending order
+        rows = tuple(
+            tuple(c[d - j + i] if 0 <= j - i <= d else Fraction(0) for j in range(2 * d))
+            for c in (p, q) for i in range(d)
+        )
+        return determinant(rows)
 
     deg = d * d
     xs = [Fraction(i) for i in range(deg + 1)]
@@ -361,18 +365,23 @@ class DegenerateDirection(RuntimeError):
 
 
 def inertia(A: Matrix, x: Fraction) -> Tuple[int, int]:
-    """(number of eigenvalues of symmetric A above x, multiplicity of x).
+    """(number of eigenvalues of symmetric A above x, multiplicity of x)."""
+    return _inertia(*_integer_form(A), x)
 
-    By Sylvester's law of inertia these are the negative and the zero
-    pivots of an exact LDL^T factorisation of x*I - A with diagonal
-    pivoting.  When every remaining diagonal entry is zero but S[k][j] is
-    not, adding row and column j to row and column k (a congruence) makes
-    the pivot 2*S[k][j]; an all-zero remainder counts as zero eigenvalues.
-    """
-    n = len(A)
-    S = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+
+def _inertia(G: IntMatrix, E: int, x: Fraction) -> Tuple[int, int]:
+    """inertia(G / E, x) for integer symmetric G and E > 0: the negative and
+    zero pivots (Sylvester) of an LDL^T factorisation of the integer
+    p*E*I - q*G, x = p/q, with diagonal pivoting.  Its Bareiss pivots are
+    leading minors D_s, so the s-th LDL^T pivot D_s / D_{s-1} has the sign
+    of D_s * D_{s-1}.  When every remaining diagonal entry is zero but
+    S[k][j] is not, adding row and column j to row and column k (a
+    congruence) makes the pivot 2*S[k][j]; an all-zero remainder counts as
+    zero eigenvalues."""
+    p, q, n = x.numerator, x.denominator, len(G)
+    S = [[(p * E if i == j else 0) - q * G[i][j] for j in range(n)] for i in range(n)]
     rest = list(range(n))
-    above = 0
+    above, prev = 0, 1
     while rest:
         k = next((i for i in rest if S[i][i]), None)
         if k is None:
@@ -385,29 +394,25 @@ def inertia(A: Matrix, x: Fraction) -> Tuple[int, int]:
             for l in rest:
                 S[l][k] += S[l][j]
         d = S[k][k]
-        if d < 0:
+        if (d < 0) != (prev < 0):
             above += 1
         rest.remove(k)
-        for i in rest:
-            f = S[i][k] / d
-            if f:
-                for j in rest:
-                    S[i][j] -= f * S[k][j]
+        _bareiss_step(S, rest, k, k, prev)
+        prev = d
     return above, len(rest)
 
 
-def _rayleigh(A: Matrix) -> Tuple[List[float], Vec, Fraction]:
-    """Float eigenvalues of symmetric A (ascending), its float top
-    eigenvector rationalised as u, and the exact Rayleigh quotient of u."""
-    arr = np.array([[float(x) for x in row] for row in A], dtype=float)
+def _rayleigh(G: IntMatrix, E: int) -> Tuple[List[float], Tuple[int, ...], int, Fraction]:
+    """Float eigenvalues of symmetric G / E (ascending), its float top
+    eigenvector rationalised as a / c with integer a, and the exact
+    Rayleigh quotient a^T G a / (E a^T a)."""
+    arr = np.array([[x / E for x in row] for row in G], dtype=float)
     s = max(1.0, np.abs(arr).max())
     w, V = np.linalg.eigh(arr / s)
-    u = tuple(
-        Fraction(float(x)).limit_denominator(10 ** 17) for x in V[:, int(np.argmax(w))]
-    )
-    n = len(A)
-    r = sum(u[i] * A[i][j] * u[j] for i in range(n) for j in range(n)) / norm2(u)
-    return [float(x * s) for x in w], u, r
+    u = [Fraction(float(x)).limit_denominator(10 ** 17) for x in V[:, int(np.argmax(w))]]
+    (a,), c = _integer_form((u,))
+    aGa = sum(x * sum(map(mul, row, a)) for x, row in zip(a, G))
+    return [float(x * s) for x in w], a, c, Fraction(aGa, E * sum(x * x for x in a))
 
 
 def _sign_normalized(v: Tuple[Interval, ...]) -> Tuple[Interval, ...]:
@@ -420,13 +425,13 @@ def _sign_normalized(v: Tuple[Interval, ...]) -> Tuple[Interval, ...]:
     return v
 
 
-def _gram_top_eigenvalue(M: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
-    """Enclose the top eigenvalue of M^T M; flag exact rationals."""
-    if all(x == 0 for row in M for x in row):
+def _gram_top_eigenvalue(N: IntMatrix, D: int, rel_bits: int) -> Tuple[Interval, bool]:
+    """Enclose the top eigenvalue of M^T M for M = N / D; flag exact rationals."""
+    if not any(x for row in N for x in row):
         raise ValueError("zero matrix has no direction")
-    if len(M) == 1:
-        return Interval.point(norm2(M[0])), True
-    return _top_eigenvalue(mat_mul(transpose(M), M), rel_bits)
+    if len(N) == 1:
+        return Interval.point(Fraction(sum(x * x for x in N[0]), D * D)), True
+    return _top_eigenvalue(_product(transpose(N), N), D * D, rel_bits)
 
 
 def _singular_value(lam: Interval, exact: bool) -> Interval:
@@ -436,47 +441,49 @@ def _singular_value(lam: Interval, exact: bool) -> Interval:
     return Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi)
 
 
-def _top_direction(M: Matrix, lam: Interval, exact: bool) -> Tuple[Interval, ...]:
-    """Unit top right singular direction of M, given the enclosure of the
-    top eigenvalue of M^T M.
+def _top_direction(N: IntMatrix, D: int, lam: Interval, exact: bool) -> Tuple[Interval, ...]:
+    """Unit top right singular direction of M = N / D, given the enclosure
+    of the top eigenvalue of M^T M = G / E.
 
     An exact eigenvalue gives an exact kernel vector.  Otherwise the
-    rationalised float eigenvector u, with Rayleigh quotient r, is widened
-    by the Davis-Kahan bound: if exactly one eigenvalue lies above g < r,
-    the angle theta between u and the top eigenvector has
+    rationalised float eigenvector u = a / c, with Rayleigh quotient r, is
+    widened by the Davis-Kahan bound: if exactly one eigenvalue lies above
+    g < r, the angle theta between u and the top eigenvector has
     sin(theta) <= ||A u - r u|| / (||u|| (r - g)), and the unit vectors
     differ by at most sqrt(2) sin(theta) in every coordinate.
     """
-    if len(M) == 1:
+    if len(N) == 1:
         t = sqrt_interval(lam.lo)
-        return _sign_normalized(tuple(Interval.point(x) / t for x in M[0]))
-    A = mat_mul(transpose(M), M)
-    n = len(A)
+        return _sign_normalized(tuple(Interval.point(Fraction(x, D)) / t for x in N[0]))
+    G, E = _product(transpose(N), N), D * D
     x = lam.lo
     if not exact:
-        w, u, r = _rayleigh(A)
+        w, a, c, r = _rayleigh(G, E)
         g = Fraction((w[-1] + w[-2]) / 2)
-        if g < r and inertia(A, g) == (1, 0):
-            uu = norm2(u)
-            res = norm2(tuple(a - r * b for a, b in zip(mat_vec(A, u), u)))
-            eps = sqrt_interval(2 * res / (uu * (r - g) ** 2)).hi
-            nrm = sqrt_interval(uu)
+        if g < r and _inertia(G, E, g) == (1, 0):
+            # ||A u - r u||^2 / ||u||^2 = ||q G a - p E a||^2 / ((q E)^2 a^T a)
+            p, q, aa = r.numerator, r.denominator, sum(ai * ai for ai in a)
+            res = sum((q * sum(map(mul, row, a)) - p * E * ai) ** 2 for row, ai in zip(G, a))
+            eps = sqrt_interval(2 * Fraction(res, (q * E) ** 2 * aa) / (r - g) ** 2).hi
+            nrm = sqrt_interval(Fraction(aa, c * c))
             return _sign_normalized(
-                tuple(Interval.point(c) / nrm + Interval(-eps, eps) for c in u)
+                tuple(Interval.point(Fraction(ai, c)) / nrm + Interval(-eps, eps) for ai in a)
             )
         # no certified gap: the top eigenvalue may be repeated.  A rational
-        # eigenvalue of A is an integer over the common denominator q of
-        # its entries, so round the float one to that grid and test it.
-        q = math.lcm(*(a.denominator for row in A for a in row))
+        # eigenvalue of A = G / E is an integer over the common denominator q
+        # of its entries, so round the float one to that grid and test it.
+        q = E // math.gcd(E, *(e for row in G for e in row))
         x = Fraction(round(Fraction(w[-1]) * q), q)
-        above, mult = inertia(A, x)
+        above, mult = _inertia(G, E, x)
         if above or not mult:
             raise DegenerateDirection(
                 "no certified gap below the top eigenvalue and no exact one; "
                 "the top singular value may be a repeated irrational"
             )
+    # the kernel of A - x*I is that of the integer matrix q*G - p*E*I
+    n, p, q = len(G), x.numerator, x.denominator
     basis = kernel_basis(
-        mat_sub(A, tuple(tuple(x if i == j else Fraction(0) for j in range(n)) for i in range(n)))
+        as_matrix([[q * G[i][j] - (p * E if i == j else 0) for j in range(n)] for i in range(n)])
     )
     if not basis:
         raise DegenerateDirection("exact eigenvalue with empty kernel")
@@ -491,35 +498,34 @@ def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interva
     and v a unit top right singular direction, sign-normalized so the first
     certainly-nonzero coordinate is positive.
     """
-    M = as_matrix(M)
-    lam, exact = _gram_top_eigenvalue(M, rel_bits)
-    return _singular_value(lam, exact), _top_direction(M, lam, exact)
+    N, D = _integer_form(as_matrix(M))
+    lam, exact = _gram_top_eigenvalue(N, D, rel_bits)
+    return _singular_value(lam, exact), _top_direction(N, D, lam, exact)
 
 
-def _top_eigenvalue(A: Matrix, rel_bits: int) -> Tuple[Interval, bool]:
-    """Enclose the top eigenvalue of symmetric PSD A; flag exact rationals.
+def _top_eigenvalue(G: IntMatrix, E: int, rel_bits: int) -> Tuple[Interval, bool]:
+    """Enclose the top eigenvalue of symmetric PSD A = G / E; flag exact rationals.
 
     The Rayleigh quotient r of a rationalised float eigenvector is a lower
     bound, and a slightly larger u an upper one; inertia counts at r and u
     certify the enclosure [r, u], or r as the exact top eigenvalue.  When
     they do not, inertia counts bisect [0, max row sum of |A|].
     """
-    n = len(A)
-    if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
-        lam = max(A[i][i] for i in range(n))
-        return Interval.point(lam), True
-    _, _, r = _rayleigh(A)
-    above, mult = inertia(A, r)
+    n = len(G)
+    if all(G[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+        return Interval.point(Fraction(max(G[i][i] for i in range(n)), E)), True
+    r = _rayleigh(G, E)[3]
+    above, mult = _inertia(G, E, r)
     if above == 0 and mult > 0:
         return Interval.point(r), True
     upper = r * (1 + Fraction(1, 1 << rel_bits)) + Fraction(1, 1 << (2 * rel_bits))
-    if r > 0 and above > 0 and inertia(A, upper)[0] == 0:
+    if r > 0 and above > 0 and _inertia(G, E, upper)[0] == 0:
         return Interval(r, upper), False
     # the top eigenvalue stays in (lo, hi]: above(lo) > 0 = above(hi)
-    lo, hi = Fraction(0), max(sum(abs(a) for a in row) for row in A)
+    lo, hi = Fraction(0), Fraction(max(sum(abs(a) for a in row) for row in G), E)
     for _ in range(4 * rel_bits + hi.numerator.bit_length()):
         mid = (lo + hi) / 2
-        above, mult = inertia(A, mid)
+        above, mult = _inertia(G, E, mid)
         if above == 0 and mult > 0:
             return Interval.point(mid), True
         if above:
@@ -540,7 +546,8 @@ class MatrixSequence:
     kind: str  # "powers" | "explicit" | "rows"
     base: Optional[Matrix] = None
     matrices: Optional[List[Matrix]] = None
-    _pow_cache: List[Matrix] = field(default_factory=list, repr=False)
+    _pow_cache: List[Tuple[IntMatrix, int]] = field(default_factory=list, repr=False)
+    _mat_cache: Dict[int, Matrix] = field(default_factory=dict, repr=False)
     _t_cache: Dict[int, Interval] = field(default_factory=dict, repr=False)
     _eig_cache: Dict[int, Tuple[Interval, bool]] = field(default_factory=dict, repr=False)
     _v_cache: Dict[int, Tuple[Interval, ...]] = field(default_factory=dict, repr=False)
@@ -551,24 +558,26 @@ class MatrixSequence:
         n, m = mat_shape(M)
         if n != m:
             raise ValueError("powers sequence needs a square matrix")
-        return MatrixSequence(kind="powers", base=M)
+        return MatrixSequence(kind="powers", base=M, _pow_cache=[_integer_form(M)])
 
     @staticmethod
     def explicit(mats: Sequence) -> "MatrixSequence":
-        out = [as_matrix(m) for m in mats]
-        if not out:
-            raise ValueError("empty sequence")
-        return MatrixSequence(kind="explicit", matrices=out)
+        return MatrixSequence._finite("explicit", [as_matrix(m) for m in mats])
 
     @staticmethod
     def rows(vectors: Sequence[Sequence[int]]) -> "MatrixSequence":
-        mats = [as_matrix([list(v)]) for v in vectors]
+        return MatrixSequence._finite("rows", [as_matrix([list(v)]) for v in vectors])
+
+    @staticmethod
+    def _finite(kind: str, mats: List[Matrix]) -> "MatrixSequence":
         if not mats:
             raise ValueError("empty sequence")
         for m in mats:
-            if all(x == 0 for x in m[0]):
-                raise ValueError("zero row vector")
-        return MatrixSequence(kind="rows", matrices=mats)
+            if mat_shape(m) != mat_shape(mats[0]):
+                raise ValueError("the matrices of a sequence must have equal shapes")
+            if all(x == 0 for row in m for x in row):
+                raise ValueError("zero row vector" if kind == "rows" else "zero matrix")
+        return MatrixSequence(kind=kind, matrices=mats)
 
     def __len__(self) -> int:
         if self.kind == "powers":
@@ -595,19 +604,27 @@ class MatrixSequence:
         """M_k, 1-indexed."""
         if k < 1:
             raise IndexError("sequence indices start at 1")
-        if self.kind == "powers":
-            while len(self._pow_cache) < k:
-                prev = self._pow_cache[-1] if self._pow_cache else None
-                self._pow_cache.append(
-                    self.base if prev is None else mat_mul(prev, self.base)
-                )
-            return self._pow_cache[k - 1]
-        return self.matrices[k - 1]
+        if self.kind != "powers":
+            return self.matrices[k - 1]
+        if k not in self._mat_cache:
+            N, D = self._integer(k)
+            self._mat_cache[k] = tuple(tuple(Fraction(x, D) for x in row) for row in N)
+        return self._mat_cache[k]
+
+    def _integer(self, k: int) -> Tuple[IntMatrix, int]:
+        """(N, D): integer N with M_k = N / D; powers cache (N^k, D^k)."""
+        if self.kind != "powers" or k < 1:
+            return _integer_form(self.matrix(k))
+        N, D = self._pow_cache[0]
+        while len(self._pow_cache) < k:
+            P, E = self._pow_cache[-1]
+            self._pow_cache.append((_product(P, N), E * D))
+        return self._pow_cache[k - 1]
 
     def t(self, k: int) -> Interval:
         """||M_k||_op, certified; the top direction is not computed."""
         if k not in self._t_cache:
-            lam, exact = _gram_top_eigenvalue(self.matrix(k), _REL_BITS)
+            lam, exact = _gram_top_eigenvalue(*self._integer(k), _REL_BITS)
             self._eig_cache[k] = lam, exact
             self._t_cache[k] = _singular_value(lam, exact)
         return self._t_cache[k]
@@ -617,7 +634,7 @@ class MatrixSequence:
         if k not in self._v_cache:
             self.t(k)
             lam, exact = self._eig_cache[k]
-            self._v_cache[k] = _top_direction(self.matrix(k), lam, exact)
+            self._v_cache[k] = _top_direction(*self._integer(k), lam, exact)
         return self._v_cache[k]
 
 
@@ -754,13 +771,8 @@ def invariant_hyperplane_family(M, N: int) -> Tuple[Vec, Interval]:
     else:
         normal = basis[-1]
     # scale to a primitive integer vector
-    den = 1
-    for x in normal:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in normal]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    (ints,), _ = _integer_form((normal,))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)
     if first < 0:

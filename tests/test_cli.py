@@ -206,6 +206,40 @@ class TestAnalyzeSeq:
         assert err.startswith("config error:") and "--horizon must be >= 2" in err
 
 
+class TestMalformedSequence:
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            ({"kind": "powers", "base": [["1", "0"], ["1"]]}, "sequence: ragged matrix"),
+            ({"kind": "powers", "base": []}, "sequence: ragged matrix"),
+            ({"kind": "powers", "base": [["1", "2"]]}, "needs a square matrix"),
+            ({"kind": "rows", "rows": [["3"], ["0"]]}, "sequence: zero row vector"),
+            ({"kind": "explicit", "matrices": [[["3"]], [["0"]]]}, "sequence: zero matrix"),
+            ({"kind": "explicit", "matrices": [[["1", "0"]], [["1"]]]}, "must have equal shapes"),
+            ({"kind": "powers", "base": 5}, "sequence: 'int' object is not iterable"),
+            ({"kind": "rows", "rows": ["12", "35"]}, "not a list of exact rationals: '12'"),
+        ],
+        ids=[
+            "ragged", "empty", "non_square", "zero_row", "zero_matrix", "mixed_shapes",
+            "number", "string_rows",
+        ],
+    )
+    def test_exit_4(self, tmp_path, capsys, sequence, message):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg["sequence"] = sequence
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path)],
+            ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+            ["analyze-seq", "--config", str(bad)],
+        ):
+            assert main(argv) == 4, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+
+
 class TestEstimateDecay:
     def test_cantor(self, capsys):
         assert (

@@ -1,12 +1,16 @@
 """Matrix sequences: exact linear algebra, certified norms, lacunarity."""
 
+import math
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from schmidtgame import matseq
-from schmidtgame.exact import Interval
+from schmidtgame.exact import Interval, sqrt_interval
+from schmidtgame.geometry import norm2
 from schmidtgame.matseq import (
     DegenerateDirection,
     MatrixSequence,
@@ -296,13 +300,13 @@ class TestLazyDirection:
         # bisection still encloses the top eigenvalue
         real = matseq._rayleigh
 
-        def poor(A):
-            w, _, _ = real(A)
-            return w, (F(1),) + (F(0),) * (len(A) - 1), A[0][0]
+        def poor(G, E):
+            w = real(G, E)[0]
+            return w, (1,) + (0,) * (len(G) - 1), 1, F(G[0][0], E)
 
         monkeypatch.setattr(matseq, "_rayleigh", poor)
         A = mat_mul(transpose(DENSE), DENSE)
-        lam, exact = matseq._top_eigenvalue(A, 48)
+        lam, exact = matseq._top_eigenvalue(tuple(tuple(int(a) for a in row) for row in A), 1, 48)
         assert not exact and lam.lo > A[0][0]
         assert lam.width / lam.lo < F(1, 1 << 48)
         p, chain, bound = _squarefree_sturm(charpoly(A))
@@ -317,6 +321,277 @@ class TestLazyDirection:
         v = seq.v(3)
         assert len(eigens) == 1
         assert (t, v) == operator_norm(mat_pow(DENSE, 3))
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the operator-norm path as it ran before the integer
+# kernel, every entry a Fraction
+
+
+def _reference_inertia(A, x):
+    n = len(A)
+    S = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+    rest = list(range(n))
+    above = 0
+    while rest:
+        k = next((i for i in rest if S[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in rest for j in rest if S[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            for l in rest:
+                S[k][l] += S[j][l]
+            for l in rest:
+                S[l][k] += S[l][j]
+        d = S[k][k]
+        if d < 0:
+            above += 1
+        rest.remove(k)
+        for i in rest:
+            f = S[i][k] / d
+            if f:
+                for j in rest:
+                    S[i][j] -= f * S[k][j]
+    return above, len(rest)
+
+
+def _reference_rayleigh(A):
+    arr = np.array([[float(x) for x in row] for row in A], dtype=float)
+    s = max(1.0, np.abs(arr).max())
+    w, V = np.linalg.eigh(arr / s)
+    u = tuple(
+        F(float(x)).limit_denominator(10 ** 17) for x in V[:, int(np.argmax(w))]
+    )
+    n = len(A)
+    r = sum(u[i] * A[i][j] * u[j] for i in range(n) for j in range(n)) / norm2(u)
+    return [float(x * s) for x in w], u, r
+
+
+def _reference_top_eigenvalue(A, rel_bits):
+    n = len(A)
+    if all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+        lam = max(A[i][i] for i in range(n))
+        return Interval.point(lam), True
+    _, _, r = _reference_rayleigh(A)
+    above, mult = _reference_inertia(A, r)
+    if above == 0 and mult > 0:
+        return Interval.point(r), True
+    upper = r * (1 + F(1, 1 << rel_bits)) + F(1, 1 << (2 * rel_bits))
+    if r > 0 and above > 0 and _reference_inertia(A, upper)[0] == 0:
+        return Interval(r, upper), False
+    lo, hi = F(0), max(sum(abs(a) for a in row) for row in A)
+    for _ in range(4 * rel_bits + hi.numerator.bit_length()):
+        mid = (lo + hi) / 2
+        above, mult = _reference_inertia(A, mid)
+        if above == 0 and mult > 0:
+            return Interval.point(mid), True
+        if above:
+            lo = mid
+        else:
+            hi = mid
+        if lo > 0 and (hi - lo) / lo < F(1, 1 << rel_bits):
+            break
+    return Interval(lo, hi), False
+
+
+def _reference_gram_top_eigenvalue(M, rel_bits=48):
+    if len(M) == 1:
+        return Interval.point(norm2(M[0])), True
+    return _reference_top_eigenvalue(mat_mul(transpose(M), M), rel_bits)
+
+
+def _reference_top_direction(M, lam, exact):
+    if len(M) == 1:
+        t = sqrt_interval(lam.lo)
+        return matseq._sign_normalized(tuple(Interval.point(x) / t for x in M[0]))
+    A = mat_mul(transpose(M), M)
+    n = len(A)
+    x = lam.lo
+    if not exact:
+        w, u, r = _reference_rayleigh(A)
+        g = F((w[-1] + w[-2]) / 2)
+        if g < r and _reference_inertia(A, g) == (1, 0):
+            uu = norm2(u)
+            res = norm2(tuple(a - r * b for a, b in zip(mat_vec(A, u), u)))
+            eps = sqrt_interval(2 * res / (uu * (r - g) ** 2)).hi
+            nrm = sqrt_interval(uu)
+            return matseq._sign_normalized(
+                tuple(Interval.point(c) / nrm + Interval(-eps, eps) for c in u)
+            )
+        q = math.lcm(*(a.denominator for row in A for a in row))
+        x = F(round(F(w[-1]) * q), q)
+        above, mult = _reference_inertia(A, x)
+        if above or not mult:
+            raise DegenerateDirection("no gap and no exact top eigenvalue")
+    basis = kernel_basis(
+        mat_sub(A, tuple(tuple(x if i == j else F(0) for j in range(n)) for i in range(n)))
+    )
+    if not basis:
+        raise DegenerateDirection("exact eigenvalue with empty kernel")
+    nrm = sqrt_interval(norm2(basis[0]))
+    return matseq._sign_normalized(tuple(Interval.point(c) / nrm for c in basis[0]))
+
+
+def _reference_norm(M):
+    """(t, v) of M by the Fraction reference; v is the exception class when
+    the direction is degenerate."""
+    lam, exact = _reference_gram_top_eigenvalue(M)
+    try:
+        v = _reference_top_direction(M, lam, exact)
+    except DegenerateDirection:
+        v = DegenerateDirection
+    return matseq._singular_value(lam, exact), v
+
+
+def _direction(seq, k):
+    try:
+        return seq.v(k)
+    except DegenerateDirection:
+        return DegenerateDirection
+
+
+def _random_base(rng, n, den):
+    """Nonsingular n x n matrix, entries p/q with |p| <= 3 and q <= den."""
+    while True:
+        M = tuple(
+            tuple(F(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n))
+            for _ in range(n)
+        )
+        if determinant(M) != 0:
+            return M
+
+
+def _inertia_cases(seed):
+    """(A, shifts): the Sturm cases, plus zero-diagonal A (every diagonal
+    entry of x*I - A is zero at x = 0: the congruence branch), singular
+    B B^T, and rational A, each at shifts with large denominators."""
+    rng = random.Random(f"inertia:{seed}")
+    cases = _symmetric_cases(seed)
+    big = [F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25)) for _ in range(4)]
+    for _ in range(8):
+        n = rng.choice((2, 3, 4))
+        A = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                A[i][j] = A[j][i] = F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3))
+        A = tuple(tuple(r) for r in A)
+        cases.append((A, [F(0), F(0), A[0][1], -A[0][1]] + big))
+    for _ in range(8):
+        n = rng.choice((3, 4))
+        B = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - 1)] for _ in range(n)]
+        A = mat_mul(tuple(map(tuple, B)), transpose(tuple(map(tuple, B))))
+        cases.append((A, [F(0), A[0][0], A[n - 1][n - 1]] + big))
+    return cases
+
+
+class TestIntegerKernel:
+    """The integer kernel against the Fraction references it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_inertia_matches_fraction_reference(self, seed):
+        seen = set()
+        for A, shifts in _inertia_cases(seed):
+            for x in shifts:
+                got = inertia(A, x)
+                assert got == _reference_inertia(A, x), (A, x)
+                seen.add(got)
+        assert {(0, 0), (1, 0), (0, 1), (1, 1)} <= seen
+        assert any(mult > 1 for _, mult in seen)
+
+    def test_congruence_branch_on_integers(self):
+        # at x = 0 every diagonal entry is zero: a congruence makes the pivot
+        # 2*S[0][1] = -4, and after two pivots the second block needs a
+        # congruence again, carrying the previous Bareiss pivot through
+        A = ((F(0), F(2), F(0), F(0)), (F(2), F(0), F(0), F(0)),
+             (F(0), F(0), F(0), F(5)), (F(0), F(0), F(5), F(0)))
+        for x in (F(0), F(2), F(-5), F(5), F(10 ** 40 + 1, 10 ** 39)):
+            assert inertia(A, x) == _reference_inertia(A, x)
+        assert inertia(A, F(0)) == (2, 0)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_rayleigh_matches_fraction_reference(self, seed):
+        rng = random.Random(f"rayleigh:{seed}")
+        for _ in range(10):
+            n = rng.choice((2, 3))
+            N, D = matseq._integer_form(_random_base(rng, n, rng.choice((1, 6))))
+            G, E = matseq._product(transpose(N), N), D * D
+            w, a, c, r = matseq._rayleigh(G, E)
+            A = tuple(tuple(F(g, E) for g in row) for row in G)
+            assert (w, tuple(F(x, c) for x in a), r) == _reference_rayleigh(A)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_norms_and_directions_match_fraction_reference(self, seed):
+        rng = random.Random(f"norms:{seed}")
+        kinds = set()
+
+        def check(seq, k, Mk):
+            t, v = seq.t(k), _direction(seq, k)
+            assert (t, v) == _reference_norm(Mk), (Mk, k)
+            kinds.add(v if v is DegenerateDirection else all(e.is_point() for e in v))
+
+        bases = [_random_base(rng, 3, 1) for _ in range(2)]
+        bases += [_random_base(rng, n, 3) for n in (2, 3)]
+        for M in bases:
+            seq = MatrixSequence.powers(M)
+            for k in range(1, 21):
+                Mk = mat_pow(M, k)
+                assert seq.matrix(k) == Mk
+                check(seq, k, Mk)
+        rows = [
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)) for _ in range(4)
+        ]
+        seq = MatrixSequence.rows([r for r in rows if any(r)])
+        for k in range(1, len(seq) + 1):
+            check(seq, k, seq.matrix(k))
+        # an exact top eigenvalue found by the Rayleigh quotient, one found by
+        # rounding when there is no gap, and a repeated irrational one
+        B = ((F(1), F(1), F(0), F(0)), (F(1), F(2), F(0), F(0)))
+        for M in (
+            ((F(2), F(1)), (F(1), F(2))),
+            ((F(3), F(0), F(4)), (F(0), F(5), F(0))),
+            B + tuple(r[2:] + r[:2] for r in B),
+        ):
+            check(MatrixSequence.explicit([M]), 1, M)
+        assert kinds == {True, False, DegenerateDirection}
+
+    def test_determinant_matches_leibniz(self):
+        rng = random.Random("determinant")
+
+        def leibniz(M):
+            n, total = len(M), F(0)
+            for perm in permutations(range(n)):
+                inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+            return total
+
+        for _ in range(40):
+            n = rng.choice((1, 2, 3, 4))
+            M = tuple(
+                tuple(F(rng.choice((0, rng.randint(-5, 5))), rng.randint(1, 6)) for _ in range(n))
+                for _ in range(n)
+            )
+            assert determinant(M) == leibniz(M)
+
+    def test_powers_stay_in_integers(self, monkeypatch):
+        # t(k) never builds a Fraction matrix product, and the elimination
+        # kernel sees only int entries
+        products = _counting(monkeypatch, "mat_mul")
+        steps = []
+        real = matseq._bareiss_step
+
+        def checked(X, rest, k, c, prev):
+            assert type(prev) is int
+            assert all(type(e) is int for row in X for e in row)
+            steps.append(k)
+            return real(X, rest, k, c, prev)
+
+        monkeypatch.setattr(matseq, "_bareiss_step", checked)
+        seq = MatrixSequence.powers(DENSE)
+        for k in range(1, 31):
+            seq.t(k)
+        assert products == []
+        assert steps
 
 
 class TestMatrixSequence:
