@@ -109,11 +109,23 @@ def _build_support(cfg: Dict) -> SupportModel:
     if kind == "euclidean":
         return SupportModel.euclidean(decay.ambient_dim, decay)
     if kind == "ifs":
-        maps = [
-            Similarity(_num(r), _vec(t))
-            for r, t in zip(cfg["ratios"], cfg["translations"])
-        ]
-        return SupportModel.ifs(maps, _vec(cfg["box_lo"]), _vec(cfg["box_hi"]), decay)
+        ratios, translations = _vec(cfg["ratios"]), cfg["translations"]
+        if not isinstance(translations, list):
+            raise ConfigError(f"not a list of translations: {translations!r}")
+        translations = [_vec(t) for t in translations]
+        box_lo, box_hi = _vec(cfg["box_lo"]), _vec(cfg["box_hi"])
+        if len(ratios) != len(translations):
+            raise ConfigError(
+                f"{len(ratios)} ratios but {len(translations)} translations"
+            )
+        for i, t in enumerate(translations):
+            if len(t) != len(box_lo):
+                raise ConfigError(
+                    f"translation {i} has dimension {len(t)} "
+                    f"but the box has dimension {len(box_lo)}"
+                )
+        maps = [Similarity(r, t) for r, t in zip(ratios, translations)]
+        return SupportModel.ifs(maps, box_lo, box_hi, decay)
     raise ConfigError(f"unknown support kind {kind!r}")
 
 
@@ -189,6 +201,14 @@ def _build_game(
     return alpha, beta, variant, rho, center
 
 
+def _game_config(alpha, beta, variant, support, ball, max_rounds) -> GameConfig:
+    try:
+        return GameConfig(alpha, beta, variant, support, ball, max_rounds)
+    except ValueError as e:
+        # an initial center off the support, or alpha or beta outside (0, 1)
+        raise ConfigError(str(e)) from e
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -257,12 +277,10 @@ def cmd_play(args) -> int:
         raise ConfigError(f"unknown adversary {bob_name!r}")
     bob = bobs[bob_name]
 
-    game_config = GameConfig(
-        alpha, beta, variant, support, Ball(center, rho), max_rounds
-    )
-    t0 = time.time()
+    game_config = _game_config(alpha, beta, variant, support, Ball(center, rho), max_rounds)
+    t0 = time.perf_counter()
     transcript = run_game(game_config, alice, bob, seed=seed)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     if params is not None:
         cap = (1 / (alpha * beta_eff)) ** (params.r * epochs)
@@ -406,7 +424,7 @@ def cmd_verify(args) -> int:
         beta_eff = beta
     params = schedule_params(alpha, beta_eff, Q, support.decay, targets.delta, rho)
     max_rounds = (len(transcript.moves) - 1) // 2
-    game_config = GameConfig(alpha, beta, variant, support, Ball(center, rho), max_rounds)
+    game_config = _game_config(alpha, beta, variant, support, Ball(center, rho), max_rounds)
     replay = validate_transcript(transcript, game_config)
     checks.append(f"replay: {'ok' if replay else 'FAIL'}")
     ok = ok and replay

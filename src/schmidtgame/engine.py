@@ -58,7 +58,8 @@ class GameConfig:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if not self.support.on_support(self.initial_ball.center):
-            raise ValueError("initial ball center must lie on the support")
+            center = ", ".join(format_frac(c) for c in self.initial_ball.center)
+            raise ValueError(f"initial ball center {center} is off the support")
 
 
 @dataclass(frozen=True)

@@ -77,16 +77,6 @@ class ScheduleParams:
     delta: Fraction
 
 
-def _floor_log(value: int, base: Fraction) -> int:
-    """Largest i >= 0 with base**i <= value, for base > 1 (exact)."""
-    i = 0
-    acc = base
-    while acc <= value:
-        i += 1
-        acc *= base
-    return i
-
-
 def schedule_params(
     alpha: Fraction,
     beta: Fraction,
@@ -111,10 +101,15 @@ def schedule_params(
         cap = min(cap, decay.rho0)
     if not rho < cap:
         raise ParameterError(f"rho={rho} must be below {cap}")
+    # r = floor(log_base N) + 1 never decreases in N, so the powers
+    # base^r, (1/ab)^r and Q^N are carried from one N to the next
     base = 1 / (1 - eps)
+    r, base_r, lhs, rhs = 1, base, 1 / ab, Fraction(1)
     for N in range(1, max_N + 1):
-        r = _floor_log(N, base) + 1
-        if (1 / ab) ** r <= Q ** N:
+        while base_r <= N:
+            r, base_r, lhs = r + 1, base_r * base, lhs / ab
+        rhs *= Q
+        if lhs <= rhs:
             c = min(rho * ab ** (2 * r - 1), delta / 4)
             return ScheduleParams(Q=Q, epsilon=eps, N=N, r=r, rho=rho, c=c, delta=delta)
     raise ParameterError("no feasible N found below the scan bound")

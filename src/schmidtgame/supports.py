@@ -5,7 +5,10 @@ avoidance strategy consumes, plus empirical estimators for them.  IFS
 supports use exact cell arithmetic: a depth-d cell is the image of the
 bounding box under a composition of d similarity maps, and every candidate
 center is an exact code-word evaluation, so membership never relies on
-rounding.
+rounding.  Ratios, translations and box corners are put over one common
+denominator L, so a depth-d cell is a pair of integer numerators over L^d;
+box, mesh and membership tests cross-multiply integers, and only the
+returned candidate points are built as fractions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import frac, pow_interval, sqrt_upper
 from .geometry import Ball, Vec, as_vec, dist2, schmidt_leq, vadd, vscale
@@ -98,37 +101,102 @@ class Similarity:
         return vadd(vscale(self.ratio, x), self.translation)
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """Image of the bounding box under a word of similarities."""
+def _over_common_den(x: Vec) -> Tuple[Tuple[int, ...], int]:
+    """(X, D) with x = X / D and D the lcm of the denominators of x."""
+    D = math.lcm(*(xi.denominator for xi in x))
+    return tuple(xi.numerator * (D // xi.denominator) for xi in x), D
+
+
+def _within(gap: Tuple[int, int], r2: Fraction) -> bool:
+    """gap = (g, s) stands for the squared distance g / s; is it <= r2?"""
+    return gap[0] * r2.denominator <= r2.numerator * gap[1]
+
+
+class _Cell(NamedTuple):
+    """Image of the bounding box under a word of similarities: the map
+    x -> (scale * x + shift) / L^depth, depth = len(word)."""
 
     word: Tuple[int, ...]
-    scale: Fraction  # product of ratios along the word
-    shift: Vec       # accumulated translation
+    scale: int              # numerator of the product of ratios along the word
+    shift: Tuple[int, ...]  # numerator of the accumulated translation
 
-    def apply(self, x: Vec) -> Vec:
-        return vadd(vscale(self.scale, x), self.shift)
 
-    def child(self, branch: int, maps: Sequence[Similarity]) -> "_Cell":
-        m = maps[branch]
+@dataclass(frozen=True)
+class _IntegerIFS:
+    """An IFS over one common denominator L.
+
+    Map b is x -> (p[b] * x + tau[b]) / L and the bounding box is
+    [lo / L, hi / L], so a depth-d cell, its box and its point carry integer
+    numerators over powers of L; every test cross-multiplies instead of
+    reducing fractions.
+    """
+
+    L: int
+    p: Tuple[int, ...]
+    tau: Tuple[Tuple[int, ...], ...]
+    lo: Tuple[int, ...]
+    hi: Tuple[int, ...]
+    _pows: List[int] = field(default_factory=lambda: [1], compare=False, repr=False)
+
+    @staticmethod
+    def of(maps: Sequence[Similarity], box_lo: Vec, box_hi: Vec) -> "_IntegerIFS":
+        ratios = [m.ratio for m in maps]
+        entries = ratios + [t for m in maps for t in m.translation] + [*box_lo, *box_hi]
+        L = math.lcm(*(c.denominator for c in entries))
+
+        def scaled(v):
+            return tuple(int(c * L) for c in v)
+
+        tau = tuple(scaled(m.translation) for m in maps)
+        return _IntegerIFS(L, scaled(ratios), tau, scaled(box_lo), scaled(box_hi))
+
+    def power(self, k: int) -> int:
+        """L^k, cached."""
+        pows = self._pows
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.L)
+        return pows[k]
+
+    def child(self, cell: _Cell, b: int) -> _Cell:
+        S, L = cell.scale, self.L
         return _Cell(
-            word=self.word + (branch,),
-            scale=self.scale * m.ratio,
-            shift=vadd(vscale(self.scale, m.translation), self.shift),
+            cell.word + (b,),
+            S * self.p[b],
+            tuple(S * t + L * u for t, u in zip(self.tau[b], cell.shift)),
         )
 
+    def box_gap2(self, cell: _Cell, X: Tuple[int, ...], D: int) -> Tuple[int, int]:
+        """Squared distance from the cell's box to X / D, as (g, s) for g / s.
 
-def _box_dist2(lo: Vec, hi: Vec, x: Vec) -> Fraction:
-    total = Fraction(0)
-    for a, b, xi in zip(lo, hi, x):
-        if xi < a:
-            d = a - xi
-        elif xi > b:
-            d = xi - b
-        else:
-            continue
-        total += d * d
-    return total
+        The box corners are (S * lo + L * T) / L^(d+1) and likewise for hi.
+        """
+        S, L = cell.scale, self.L
+        den = self.power(len(cell.word) + 1)
+        g = 0
+        for lo, hi, t, x in zip(self.lo, self.hi, cell.shift, X):
+            x *= den
+            a = (S * lo + L * t) * D
+            if x < a:
+                g += (a - x) ** 2
+                continue
+            b = (S * hi + L * t) * D
+            if x > b:
+                g += (x - b) ** 2
+        return g, (den * D) ** 2
+
+    def point(self, cell: _Cell) -> Tuple[Tuple[int, ...], int]:
+        """(P, Dp): the cell's map at the fixed point tau[0] / (L - p[0]) of
+        map 0 is P / Dp.  Every finite word evaluated there lies on K."""
+        q = self.L - self.p[0]
+        S = cell.scale
+        P = tuple(S * t + q * u for t, u in zip(self.tau[0], cell.shift))
+        return P, q * self.power(len(cell.word))
+
+    def point_gap2(self, cell: _Cell, X: Tuple[int, ...], D: int) -> Tuple[int, int]:
+        """Squared distance from the cell's point to X / D, as (g, s)."""
+        P, Dp = self.point(cell)
+        g = sum((pi * D - x * Dp) ** 2 for pi, x in zip(P, X))
+        return g, (Dp * D) ** 2
 
 
 @dataclass
@@ -140,6 +208,10 @@ class SupportModel:
     box_lo: Vec = ()
     box_hi: Vec = ()
     resolution_depth: int = 0
+    # the IFS over one common denominator, set by ifs()
+    _ints: Optional[_IntegerIFS] = field(
+        default=None, init=False, compare=False, repr=False
+    )
     # (ball, mesh, cells) of the last cells_meeting_ball query
     _frontier: Optional[Tuple[Ball, Fraction, Tuple[_Cell, ...]]] = field(
         default=None, init=False, compare=False, repr=False
@@ -163,6 +235,12 @@ class SupportModel:
         box_lo, box_hi = as_vec(box_lo), as_vec(box_hi)
         if len(box_lo) != len(box_hi) or any(a >= b for a, b in zip(box_lo, box_hi)):
             raise ParameterError("degenerate bounding box")
+        for i, m in enumerate(maps):
+            if len(m.translation) != len(box_lo):
+                raise ParameterError(
+                    f"translation {i} has dimension {len(m.translation)} "
+                    f"but the box has dimension {len(box_lo)}"
+                )
         if decay.rho0 is None:
             diam = sqrt_upper(dist2(box_lo, box_hi))
             decay = replace(decay, rho0=diam)
@@ -176,6 +254,7 @@ class SupportModel:
             resolution_depth=resolution_depth,
         )
         model._check_open_set_condition()
+        model._ints = _IntegerIFS.of(maps, box_lo, box_hi)
         return model
 
     # -- IFS cell structure -------------------------------------------------
@@ -202,25 +281,18 @@ class SupportModel:
                     )
 
     def root_cell(self) -> _Cell:
-        return _Cell(word=(), scale=Fraction(1), shift=as_vec([0] * self.dim))
+        return _Cell((), 1, (0,) * self.dim)
 
-    @property
-    def base_point(self) -> Vec:
-        """Fixed point of map 0: every finite word evaluated here is on K."""
-        m = self.maps[0]
-        return tuple(t / (1 - m.ratio) for t in m.translation)
+    def point(self, cell: _Cell) -> Vec:
+        """The cell's exact point on K (see _IntegerIFS.point)."""
+        P, Dp = self._ints.point(cell)
+        return tuple(Fraction(pi, Dp) for pi in P)
 
     def cell_point(self, word: Sequence[int]) -> Vec:
         cell = self.root_cell()
         for b in word:
-            cell = cell.child(b, self.maps)
-        return cell.apply(self.base_point)
-
-    def cell_box(self, cell: _Cell) -> Tuple[Vec, Vec]:
-        return cell.apply(self.box_lo), cell.apply(self.box_hi)
-
-    def _diam2(self) -> Fraction:
-        return dist2(self.box_lo, self.box_hi)
+            cell = self._ints.child(cell, b)
+        return self.point(cell)
 
     def cells_meeting_ball(self, ball: Ball, mesh: Fraction) -> List[_Cell]:
         """All cells of diameter <= mesh whose box meets the ball and whose
@@ -235,40 +307,50 @@ class SupportModel:
         is wider than the previous mesh, hence than mesh.  A game's queries
         are nested with shrinking mesh, so each visits a bounded number of
         cells instead of walking down from the root.
+
+        A depth-d cell has diameter (S / L^d) * diam, so it is fine enough
+        iff S^2 * diam2.num * mesh.den^2 <= mesh.num^2 * diam2.den * L^(2d).
         """
         mesh = Fraction(mesh)
         prev = self._frontier
         resume = prev is not None and mesh <= prev[1] and schmidt_leq(ball, prev[0])
         stack = list(reversed(prev[2])) if resume else [self.root_cell()]
+        ints = self._ints
+        X, D = _over_common_den(ball.center)
         r2 = ball.radius * ball.radius
-        diam2 = self._diam2()
+        diam2 = dist2(self.box_lo, self.box_hi)
+        wide = diam2.numerator * mesh.denominator ** 2
+        fine = mesh.numerator ** 2 * diam2.denominator
+        branches = range(len(self.maps))
         out: List[_Cell] = []
         while stack:
             cell = stack.pop()
-            lo, hi = self.cell_box(cell)
-            if _box_dist2(lo, hi, ball.center) > r2:
+            if not _within(ints.box_gap2(cell, X, D), r2):
                 continue
-            if cell.scale * cell.scale * diam2 <= mesh * mesh:
+            if cell.scale ** 2 * wide <= fine * ints.power(2 * len(cell.word)):
                 out.append(cell)
             else:
-                for b in range(len(self.maps)):
-                    stack.append(cell.child(b, self.maps))
+                stack.extend(ints.child(cell, b) for b in branches)
         self._frontier = (ball, mesh, tuple(out))
         return out
 
-    def _descend_toward(self, cell: _Cell, x: Vec, extra_depth: int) -> _Cell:
-        """Walk into subcells, each step picking the child box nearest x."""
+    def _descend_toward(
+        self, cell: _Cell, X: Tuple[int, ...], D: int, extra_depth: int
+    ) -> _Cell:
+        """Walk into subcells toward X / D, each step picking the child box
+        nearest it (the first on ties).  The children of one cell share a
+        depth, so their gaps share a denominator and compare as integers."""
+        ints = self._ints
         for _ in range(extra_depth):
             best = None
-            best_d = None
+            best_g = None
             for b in range(len(self.maps)):
-                child = cell.child(b, self.maps)
-                lo, hi = self.cell_box(child)
-                d = _box_dist2(lo, hi, x)
-                if best_d is None or d < best_d:
-                    best, best_d = child, d
+                child = ints.child(cell, b)
+                g = ints.box_gap2(child, X, D)[0]
+                if best_g is None or g < best_g:
+                    best, best_g = child, g
             cell = best
-            if best_d == 0 and cell.apply(self.base_point) == x:
+            if best_g == 0 and ints.point_gap2(cell, X, D)[0] == 0:
                 break
         return cell
 
@@ -282,6 +364,9 @@ class SupportModel:
         y -> (y - t_b) / r_b, applied for b1 first and bd last, keep x
         inside the bounding box at every step; so the walk carries one
         pulled-back point per node instead of a cell and its box corners.
+        Over the common denominator L the point y = Y / Dy maps to
+        (L * Y - Dy * tau_b) / (Dy * p_b), and y is in the box iff
+        lo * Dy <= L * Y <= hi * Dy.
         Depth-limited: a point off K but within a depth-d cell is accepted.
         """
         x = as_vec(x)
@@ -289,16 +374,22 @@ class SupportModel:
             return False
         if self.kind == "euclidean":
             return True
-        inverses = [(1 / m.ratio, m.translation) for m in self.maps]
-        stack = [(x, 0)]
+        ints = self._ints
+        L, lo, hi = ints.L, ints.lo, ints.hi
+        inverses = list(zip(ints.p, ints.tau))
+        stack = [(*_over_common_den(x), 0)]
         while stack:
-            y, depth = stack.pop()
-            if any(yi < a or yi > b for yi, a, b in zip(y, self.box_lo, self.box_hi)):
+            Y, Dy, depth = stack.pop()
+            if any(
+                L * y < a * Dy or L * y > b * Dy for y, a, b in zip(Y, lo, hi)
+            ):
                 continue
             if depth >= self.resolution_depth:
                 return True
-            for inv, t in inverses:
-                stack.append((tuple((yi - ti) * inv for yi, ti in zip(y, t)), depth + 1))
+            for p, tau in inverses:
+                stack.append(
+                    (tuple(L * y - Dy * t for y, t in zip(Y, tau)), Dy * p, depth + 1)
+                )
         return False
 
 
@@ -365,18 +456,17 @@ def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]
     # IFS: cells of diameter <= mesh meeting the shrunken ball, one exact
     # representative each, pushed toward the ball center until it lands
     # inside the shrunken ball.
+    ints = K._ints
+    X, D = _over_common_den(ball.center)
     out = []
     for cell in K.cells_meeting_ball(ball, mesh):
-        lo, hi = K.cell_box(cell)
-        if _box_dist2(lo, hi, ball.center) > reach2:
+        if not _within(ints.box_gap2(cell, X, D), reach2):
             continue
-        p = cell.apply(K.base_point)
-        if dist2(p, ball.center) > reach2:
-            deeper = K._descend_toward(cell, ball.center, 64)
-            p = deeper.apply(K.base_point)
-            if dist2(p, ball.center) > reach2:
+        if not _within(ints.point_gap2(cell, X, D), reach2):
+            cell = K._descend_toward(cell, X, D, 64)
+            if not _within(ints.point_gap2(cell, X, D), reach2):
                 continue
-        out.append(p)
+        out.append(K.point(cell))
     out = sorted(set(out))
     if not out:
         raise SupportError("no support points found inside the ball")

@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -238,6 +239,88 @@ class TestMalformedSequence:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and message in err
             assert len(err.strip().splitlines()) == 1
+
+
+class TestMalformedSupport:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("translations", [["0", "0"], ["2/3"]], "translation 0 has dimension 2"),
+            ("ratios", ["1/3"], "1 ratios but 2 translations"),
+            ("translations", 5, "not a list of translations: 5"),
+        ],
+        ids=["translation_length", "map_count", "translations_number"],
+    )
+    def test_ifs_shape_exit_4(self, tmp_path, capsys, field, value, message):
+        cfg = json.loads(open(config("cantor_pow2.json")).read())
+        cfg["support"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path)],
+            ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+        ):
+            assert main(argv) == 4, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_off_support_center_exit_4(self, tmp_path, capsys):
+        good = tmp_path / "good"
+        assert main(["play", "--config", config("cantor_pow2.json"), "--out", str(good)]) == 0
+        capsys.readouterr()
+        cfg = json.loads(open(config("cantor_pow2.json")).read())
+        cfg["game"]["center"] = ["1/2"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path / "bad")],
+            ["verify", str(good / "transcript.jsonl"), "--config", str(bad)],
+        ):
+            assert main(argv) == 4, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "center 1/2 is off the support" in err
+            assert len(err.strip().splitlines()) == 1
+
+
+# SHA-256 of transcript.jsonl and of summary.json (without wall_time and the
+# transcript path, keys sorted) for each shipped game config at seed 3
+GOLDEN = {
+    "cantor_pow2": (
+        "43bf16390383cba98ce4e6069a7612245e3755dcf3c5cd58a6a765f542af68c3",
+        "b259a21b9309a44e9054b2a680c3ebc7c63f95b17ececba1e3a0a6412a70542f",
+    ),
+    "dim2_classic": (
+        "ebbd69210a9e6c00e9ab5477bb420597b9ef5b8cc94db18d12a8e9bc453ed972",
+        "c44d75d4f0d7f159c1b839458f428c40f8a5f38780dc5e4340ebebfa8b9e8c56",
+    ),
+    "pow3_classic": (
+        "6e6fb2d8e3e6c18213dfc192815ad93eb818d954350540f95bca086322d42d42",
+        "2f03153828ad6f3ce831173964bb3601b5eb3d34366dc193e89810402d1c8ba8",
+    ),
+    "pow3_strong": (
+        "6a263627d50d15d5de46b183f705a91c766a745a050fc80756282a89c470ed92",
+        "aa7bf34b04cc8a38de9ec7441c9251bd0023b57d3013f837f43f90c9d52a9098",
+    ),
+}
+
+
+class TestGoldenTranscripts:
+    """Performance changes must leave every certified output byte-identical."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_shipped_config_bytes(self, tmp_path, capsys, name):
+        argv = ["play", "--config", config(f"{name}.json"), "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        transcript = (tmp_path / "transcript.jsonl").read_bytes()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        del summary["wall_time"], summary["transcript"]
+        summary_bytes = json.dumps(summary, sort_keys=True).encode()
+        got = (
+            hashlib.sha256(transcript).hexdigest(),
+            hashlib.sha256(summary_bytes).hexdigest(),
+        )
+        assert got == GOLDEN[name]
 
 
 class TestEstimateDecay:

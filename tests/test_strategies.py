@@ -1,6 +1,8 @@
 """Schedules, avoidance moves, epoch constraints, and adversaries."""
 
+import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ import pytest
 
 from typing import List, Optional, Sequence, Tuple
 
+from schmidtgame import cli
 from schmidtgame.engine import GameConfig, Variant, run_game, validate_transcript
 from schmidtgame.geometry import (
     Ball, SlabConstraint, Vec, dist2, norm2, slab_distance_exceeds, vadd,
@@ -17,6 +20,7 @@ from schmidtgame.strategies import (
     CertificateError,
     ChaseBob,
     NoFeasibleCenter,
+    ScheduleParams,
     _preimage_min_norm,
     _exact_avoided,
     _slab_tables,
@@ -30,7 +34,9 @@ from schmidtgame.strategies import (
     single_escape,
     virtual_beta,
 )
-from schmidtgame.supports import DecayParams, SupportModel, ball_grid, epsilon_for
+from schmidtgame.supports import (
+    DecayParams, SupportModel, ball_grid, epsilon_for, max_alpha,
+)
 from schmidtgame.targets import TargetFamily, points_near
 
 
@@ -79,6 +85,74 @@ class TestScheduleParams:
         K = line_support()
         with pytest.raises(Exception):
             schedule_params(F(2, 5), F(1, 2), F(3), K.decay, F(1), F(1, 40))
+
+
+def _reference_schedule_search(alpha, beta, Q, decay, delta, rho):
+    """The (N, r) search of schedule_params with r recomputed from i = 0
+    for every N, on inputs that pass its validation."""
+    eps = epsilon_for(decay, alpha)
+    ab = alpha * beta
+    base = 1 / (1 - eps)
+    for N in range(1, 100001):
+        i, acc = 0, base
+        while acc <= N:
+            i += 1
+            acc *= base
+        r = i + 1
+        if (1 / ab) ** r <= Q ** N:
+            c = min(rho * ab ** (2 * r - 1), delta / 4)
+            return ScheduleParams(Q=Q, epsilon=eps, N=N, r=r, rho=rho, c=c, delta=delta)
+    raise AssertionError("no feasible N")
+
+
+def _shipped_schedule_inputs():
+    out = []
+    for name in ("cantor_pow2", "dim2_classic", "pow3_classic", "pow3_strong"):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
+        with open(path) as fh:
+            cfg = json.load(fh)
+        K = cli._build_support(cfg["support"])
+        alpha, beta, variant, rho, _ = cli._build_game(cfg["game"], K.dim)
+        if variant is Variant.STRONG:
+            beta = virtual_beta(alpha, beta)[1]
+        delta = cli._build_targets(cfg["targets"]).delta
+        out.append((alpha, beta, cli._num(cfg.get("Q", 2)), K.decay, delta, rho))
+    return out
+
+
+def _seeded_schedule_inputs(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        decay = DecayParams(
+            C=F(rng.randrange(4, 40), 4),
+            gamma=F(rng.randrange(1, 9), 8),
+            rho0=F(1, rng.randrange(1, 100)) if rng.random() < 0.5 else None,
+        )
+        alpha = max_alpha(decay) * F(rng.randrange(1, 5), 10)
+        beta = F(rng.randrange(1, 10), 10)
+        Q = 1 + F(rng.randrange(5, 40), 10)
+        delta = F(1, rng.randrange(1, 5))
+        cap = alpha * beta * delta / 4
+        if decay.rho0 is not None:
+            cap = min(cap, decay.rho0)
+        rho = cap * F(rng.randrange(1, 10), 10)
+        out.append((alpha, beta, Q, decay, delta, rho))
+    return out
+
+
+class TestIncrementalSchedule:
+    def test_matches_search_from_zero(self):
+        # epsilon = 1/2, so base = 2 and r steps up exactly at N = 2^k
+        exact_base = (F(1, 5), F(1, 2), F(9, 5), DecayParams(C=F(1), gamma=F(1)), F(1), F(1, 1000))
+        assert schedule_params(*exact_base).r == 5
+        inputs = [exact_base] + _shipped_schedule_inputs() + _seeded_schedule_inputs(24, 0)
+        rs = set()
+        for args in inputs:
+            p = schedule_params(*args)
+            assert p == _reference_schedule_search(*args), args
+            rs.add(p.r)
+        assert len(rs) > 10 and max(rs) >= 35
 
 
 class TestAvoidanceMove:

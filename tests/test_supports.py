@@ -3,17 +3,20 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import Tuple
 
 import pytest
 
-from schmidtgame.geometry import Ball, as_vec, dist2, schmidt_leq, vadd
+from schmidtgame.geometry import Ball, Vec, as_vec, dist2, schmidt_leq, vadd, vscale
 from schmidtgame.supports import (
     DecayParams,
+    ParameterError,
     Similarity,
+    SupportError,
     SupportModel,
-    _box_dist2,
-    _Cell,
+    _IntegerIFS,
     candidate_centers,
     epsilon_for,
     estimate_decay,
@@ -52,6 +55,18 @@ def corner_ifs():
     ]
     decay = DecayParams(C=F(4), gamma=F(1, 2), ambient_dim=2)
     return SupportModel.ifs(maps, (F(0), F(0)), (F(1), F(1)), decay)
+
+
+def mixed_den_ifs():
+    """A 2-D IFS whose box and translation denominators (5, 20, 7, 3) differ
+    from its ratios' (4, 3): images [1/5, 9/20] x [1/7, 11/28] and
+    [13/15, 6/5] x [2/3, 1] of the box [1/5, 6/5] x [0, 1]."""
+    maps = [
+        Similarity(F(1, 4), (F(3, 20), F(1, 7))),
+        Similarity(F(1, 3), (F(4, 5), F(2, 3))),
+    ]
+    decay = DecayParams(C=F(4), gamma=F(1, 2), ambient_dim=2)
+    return SupportModel.ifs(maps, (F(1, 5), F(0)), (F(6, 5), F(1)), decay)
 
 
 class TestDecayParams:
@@ -158,9 +173,65 @@ class TestCantorSupport:
     def test_nearest_on_support(self):
         K = cantor_set()
         cells = K.cells_meeting_ball(Ball((F(1, 2),), F(1, 4)), F(1, 100))
-        (u,) = min((c.apply(K.base_point) for c in cells), key=lambda p: abs(p[0] - F(1, 2)))
+        (u,) = min((K.point(c) for c in cells), key=lambda p: abs(p[0] - F(1, 2)))
         assert K.on_support((u,))
         assert abs(u - F(1, 2)) < F(1, 4)
+
+
+# -- the Fraction cell walk the integer kernel replaced, kept as reference --
+
+
+@dataclass(frozen=True)
+class _RefCell:
+    """Image of the bounding box under a word of similarities."""
+
+    word: Tuple[int, ...]
+    scale: F  # product of ratios along the word
+    shift: Vec  # accumulated translation
+
+    def apply(self, x):
+        return vadd(vscale(self.scale, x), self.shift)
+
+    def child(self, branch, maps):
+        m = maps[branch]
+        return _RefCell(
+            word=self.word + (branch,),
+            scale=self.scale * m.ratio,
+            shift=vadd(vscale(self.scale, m.translation), self.shift),
+        )
+
+
+def _ref_root(K):
+    return _RefCell(word=(), scale=F(1), shift=(F(0),) * K.dim)
+
+
+def _ref_cell(K, word):
+    cell = _ref_root(K)
+    for b in word:
+        cell = cell.child(b, K.maps)
+    return cell
+
+
+def _ref_box_dist2(lo, hi, x):
+    total = F(0)
+    for a, b, xi in zip(lo, hi, x):
+        if xi < a:
+            d = a - xi
+        elif xi > b:
+            d = xi - b
+        else:
+            continue
+        total += d * d
+    return total
+
+
+def _ref_cell_dist2(K, cell, x):
+    return _ref_box_dist2(cell.apply(K.box_lo), cell.apply(K.box_hi), x)
+
+
+def _ref_base_point(K):
+    m = K.maps[0]
+    return tuple(t / (1 - m.ratio) for t in m.translation)
 
 
 def _reference_cells(K, ball, mesh):
@@ -168,10 +239,10 @@ def _reference_cells(K, ball, mesh):
     r2 = ball.radius ** 2
     diam2 = dist2(K.box_lo, K.box_hi)
     out = []
-    stack = [_Cell(word=(), scale=F(1), shift=(F(0),) * K.dim)]
+    stack = [_ref_root(K)]
     while stack:
         cell = stack.pop()
-        if _box_dist2(cell.apply(K.box_lo), cell.apply(K.box_hi), ball.center) > r2:
+        if _ref_cell_dist2(K, cell, ball.center) > r2:
             continue
         if cell.scale ** 2 * diam2 <= mesh ** 2:
             out.append(cell)
@@ -180,18 +251,74 @@ def _reference_cells(K, ball, mesh):
     return out
 
 
+def _reference_descend_toward(K, cell, x, extra_depth):
+    for _ in range(extra_depth):
+        best = None
+        best_d = None
+        for b in range(len(K.maps)):
+            child = cell.child(b, K.maps)
+            d = _ref_cell_dist2(K, child, x)
+            if best_d is None or d < best_d:
+                best, best_d = child, d
+        cell = best
+        if best_d == 0 and cell.apply(_ref_base_point(K)) == x:
+            break
+    return cell
+
+
+def _reference_candidate_centers(K, ball, alpha):
+    """The IFS branch of candidate_centers in Fraction arithmetic."""
+    reach2 = ((1 - alpha) * ball.radius) ** 2
+    base = _ref_base_point(K)
+    out = []
+    for cell in _reference_cells(K, ball, alpha * ball.radius / 4):
+        if _ref_cell_dist2(K, cell, ball.center) > reach2:
+            continue
+        p = cell.apply(base)
+        if dist2(p, ball.center) > reach2:
+            p = _reference_descend_toward(K, cell, ball.center, 64).apply(base)
+            if dist2(p, ball.center) > reach2:
+                continue
+        out.append(p)
+    return sorted(set(out))
+
+
+def _reference_inverse_walk(K, x):
+    """on_support as a Fraction walk through the inverse maps."""
+    x = as_vec(x)
+    inverses = [(1 / m.ratio, m.translation) for m in K.maps]
+    stack = [(x, 0)]
+    while stack:
+        y, depth = stack.pop()
+        if any(yi < a or yi > b for yi, a, b in zip(y, K.box_lo, K.box_hi)):
+            continue
+        if depth >= K.resolution_depth:
+            return True
+        for inv, t in inverses:
+            stack.append((tuple((yi - ti) * inv for yi, ti in zip(y, t)), depth + 1))
+    return False
+
+
 def _reference_on_support(K, x):
     """on_support as a forward walk over cell boxes, down to the same depth."""
     x = as_vec(x)
-    stack = [_Cell(word=(), scale=F(1), shift=(F(0),) * K.dim)]
+    stack = [_ref_root(K)]
     while stack:
         cell = stack.pop()
-        if _box_dist2(cell.apply(K.box_lo), cell.apply(K.box_hi), x) > 0:
+        if _ref_cell_dist2(K, cell, x) > 0:
             continue
         if len(cell.word) >= K.resolution_depth:
             return True
         stack.extend(cell.child(b, K.maps) for b in range(len(K.maps)))
     return False
+
+
+def _same_cells(K, got, ref):
+    """Integer cells and reference cells agree word by word and point by point."""
+    base = _ref_base_point(K)
+    return [c.word for c in got] == [c.word for c in ref] and [
+        K.point(c) for c in got
+    ] == [c.apply(base) for c in ref]
 
 
 def _queries(K, rng, rounds):
@@ -241,7 +368,8 @@ class TestResumedWalk:
             elif prev is not None:
                 assert not (schmidt_leq(ball, prev[0]) and mesh <= prev[1])
             before = len(roots)
-            assert K.cells_meeting_ball(ball, mesh) == _reference_cells(K, ball, mesh)
+            got = K.cells_meeting_ball(ball, mesh)
+            assert _same_cells(K, got, _reference_cells(K, ball, mesh))
             assert (len(roots) == before) == resumes
             prev = (ball, mesh)
 
@@ -250,19 +378,19 @@ class TestResumedWalk:
         ball = Ball((F(1, 4),), F(1, 10))
         first = K.cells_meeting_ball(ball, F(1, 500))
         assert K.cells_meeting_ball(ball, F(1, 500)) == first
-        assert first == _reference_cells(K, ball, F(1, 500))
+        assert _same_cells(K, first, _reference_cells(K, ball, F(1, 500)))
 
     def test_cells_visited_per_call_stay_bounded(self, monkeypatch):
         """Nested queries down to depth 80 visit as few cells per call as the
         first ones do; one walk from the root at that depth visits 183."""
         visits = [0]
-        cell_box = SupportModel.cell_box
+        box_gap2 = _IntegerIFS.box_gap2
 
-        def counting(self, cell):
+        def counting(self, cell, X, D):
             visits[0] += 1
-            return cell_box(self, cell)
+            return box_gap2(self, cell, X, D)
 
-        monkeypatch.setattr(SupportModel, "cell_box", counting)
+        monkeypatch.setattr(_IntegerIFS, "box_gap2", counting)
         K = cantor_set()
         x = K.cell_point([0, 1, 1] * 30)
         ball = Ball(x, F(1, 2))
@@ -279,7 +407,7 @@ class TestResumedWalk:
 
 
 class TestMembershipByInverseMaps:
-    @pytest.mark.parametrize("make", [cantor_set, unequal_ifs, corner_ifs])
+    @pytest.mark.parametrize("make", [cantor_set, unequal_ifs, corner_ifs, mixed_den_ifs])
     def test_matches_forward_walk(self, make):
         K = make()
         rng = random.Random(7)
@@ -293,6 +421,7 @@ class TestMembershipByInverseMaps:
             xs.append(tuple(F(rng.randrange(0, 3 ** 6 + 1), 3 ** 6) for _ in range(K.dim)))
         for x in xs:
             assert K.on_support(x) == _reference_on_support(K, x), x
+            assert K.on_support(x) == _reference_inverse_walk(K, x), x
         assert any(K.on_support(x) for x in xs)
         assert not all(K.on_support(x) for x in xs)
 
@@ -300,6 +429,7 @@ class TestMembershipByInverseMaps:
         K = cantor_set()
         for x in (0, 1, F(1, 3), F(2, 3), F(1, 9), F(8, 9), F(1, 2), F(-1, 3), F(4, 3)):
             assert K.on_support((F(x),)) == _reference_on_support(K, (F(x),))
+            assert K.on_support((F(x),)) == _reference_inverse_walk(K, (F(x),))
         assert K.on_support((F(1, 3),)) and K.on_support((F(2, 3),))
         C = corner_ifs()
         assert C.on_support((F(1, 2), F(1, 2)))
@@ -312,6 +442,100 @@ class TestMembershipByInverseMaps:
         x = (F(1, 4) + F(1, 3 ** 30),)
         assert K.on_support(x) is True
         assert _reference_on_support(K, x) is True
+        assert _reference_inverse_walk(K, x) is True
+
+
+def _int_cell(K, word):
+    cell = K.root_cell()
+    for b in word:
+        cell = K._ints.child(cell, b)
+    return cell
+
+
+class TestIntegerKernel:
+    """The integer cell kernel gives the Fraction walk's words, points and
+    membership answers."""
+
+    MAKERS = [cantor_set, unequal_ifs, corner_ifs, mixed_den_ifs]
+
+    def test_integer_form(self):
+        ints = mixed_den_ifs()._ints
+        assert ints.L == 420
+        assert ints.p == (105, 140)
+        assert ints.tau == ((63, 60), (336, 280))
+        assert (ints.lo, ints.hi) == ((84, 0), (504, 420))
+        assert ints.power(3) == 420 ** 3
+        assert cantor_set()._ints.L == 3
+
+    def test_translation_dimension_checked(self):
+        maps = [Similarity(F(1, 3), (F(0), F(0))), Similarity(F(1, 3), (F(2, 3),))]
+        decay = DecayParams(C=F(33, 16), gamma=F(5, 8), ambient_dim=1)
+        with pytest.raises(ParameterError, match="translation 0 has dimension 2"):
+            SupportModel.ifs(maps, (F(0),), (F(1),), decay)
+
+    @pytest.mark.parametrize("make", MAKERS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_walk_and_candidates(self, make, seed):
+        K = make()
+        rng = random.Random(seed)
+        for ball, mesh, _ in _queries(K, rng, 12):
+            got = K.cells_meeting_ball(ball, mesh)
+            assert _same_cells(K, got, _reference_cells(K, ball, mesh))
+        for _ in range(12):
+            # a ball whose center is within radius/4 of a point of K
+            word = [rng.randrange(len(K.maps)) for _ in range(rng.randrange(20, 60))]
+            radius = F(1, rng.choice([2, 3, 5])) ** rng.randrange(1, 15)
+            off = tuple(radius * F(rng.randrange(-1, 2), 8) for _ in range(K.dim))
+            ball = Ball(vadd(K.cell_point(word), off), radius)
+            alpha = F(1, rng.choice([5, 9, 20]))
+            ref = _reference_candidate_centers(K, ball, alpha)
+            assert ref and candidate_centers(K, ball, alpha) == ref
+        with pytest.raises(SupportError):
+            candidate_centers(K, Ball((F(7),) * K.dim, F(1)), F(1, 9))
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_descend_toward(self, make):
+        K = make()
+        base = _ref_base_point(K)
+        rng = random.Random(3)
+        stops = 0
+        for _ in range(60):
+            word = [rng.randrange(len(K.maps)) for _ in range(rng.randrange(0, 6))]
+            target = K.cell_point([rng.randrange(len(K.maps)) for _ in range(rng.randrange(1, 40))])
+            x = tuple(t + F(rng.choice([-1, 0, 0, 1]), 3 ** rng.randrange(1, 30)) for t in target)
+            D = math.lcm(*(xi.denominator for xi in x))
+            X = tuple(int(xi * D) for xi in x)
+            got = K._descend_toward(_int_cell(K, word), X, D, 64)
+            ref = _reference_descend_toward(K, _ref_cell(K, word), x, 64)
+            assert got.word == ref.word and K.point(got) == ref.apply(base)
+            stops += len(got.word) < len(word) + 64
+        # corner_ifs breaks ties toward map 0, whose points miss shared corners
+        assert 0 < stops < 60 or make is corner_ifs
+
+    @pytest.mark.parametrize("make", [cantor_set, unequal_ifs, mixed_den_ifs])
+    def test_deeper_than_150_levels(self, make):
+        K = make()
+        base = _ref_base_point(K)
+        rng = random.Random(11)
+        word = [rng.randrange(len(K.maps)) for _ in range(190)]
+        x = K.cell_point(word)
+        assert x == _ref_cell(K, word).apply(base)
+        cell = K._ints.child(_int_cell(K, word[:150]), word[150])
+        ball = Ball(x, 2 * max(K.point(cell)[0] - K.cell_point(word[:151] + [1] * 39)[0],
+                               F(1, 10 ** 90)))
+        for mesh in (ball.radius / 36, ball.radius / 4):
+            got = K.cells_meeting_ball(ball, mesh)
+            assert min(len(c.word) for c in got) > 150
+            assert _same_cells(K, got, _reference_cells(K, ball, mesh))
+        ref = _reference_candidate_centers(K, ball, F(1, 9))
+        assert ref and candidate_centers(K, ball, F(1, 9)) == ref
+        D = math.lcm(*(xi.denominator for xi in x))
+        X = tuple(int(xi * D) for xi in x)
+        got = K._descend_toward(_int_cell(K, word[:100]), X, D, 80)
+        ref = _reference_descend_toward(K, _ref_cell(K, word[:100]), x, 80)
+        assert len(got.word) == 180 and got.word == ref.word
+        for y in (x, tuple(xi + F(1, 3 ** 160) for xi in x)):
+            assert K.on_support(y) is _reference_inverse_walk(K, y) is True
 
 
 class TestEstimators:
