@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from . import badapprox as ba
 from .engine import (
     GameConfig,
+    GameTranscript,
     InvalidMove,
     Variant,
     limit_margin,
@@ -29,7 +30,7 @@ from .engine import (
     validate_transcript,
 )
 from .exact import format_frac, frac
-from .geometry import Ball, slab_distance_exceeds
+from .geometry import Ball
 from .matseq import (
     DegenerateDirection,
     MatrixSequence,
@@ -41,12 +42,8 @@ from .strategies import (
     GreedyAlice,
     MoreThanOneTarget,
     NoFeasibleCenter,
-    Theorem42Alice,
     bob_adversaries,
-    epoch_constraints,
-    schedule_params,
-    strong_wrapper,
-    virtual_beta,
+    certified_game,
 )
 from .supports import (
     DecayParams,
@@ -180,33 +177,49 @@ def _build_affine(cfg: Dict) -> ba.AffineSystem:
     return ba.AffineSystem(tuple(tuple(_entry(e) for e in row) for row in rows))
 
 
-def _build_game(
-    game: Dict, dim: int
-) -> Tuple[Fraction, Fraction, Variant, Fraction, Tuple[Fraction, ...]]:
-    """(alpha, beta, variant, radius, center) of a game section played on a
-    support of dimension `dim`."""
+def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
+    """certified_game's arguments, parsed once for play and verify; a
+    positive `epochs` (--epochs) overrides the config's."""
+    game = cfg["game"]
+    support = _build_support(cfg["support"])
     alpha, beta = _num(game["alpha"]), _num(game["beta"])
     try:
         variant = Variant(game.get("variant", "classic"))
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    rho = _num(game["radius"])
-    if rho <= 0:
-        raise ConfigError(f"radius must be positive, got {format_frac(rho)}")
+    radius = _num(game["radius"])
+    if radius <= 0:
+        raise ConfigError(f"radius must be positive, got {format_frac(radius)}")
     center = _vec(game["center"])
-    if len(center) != dim:
+    if len(center) != support.dim:
         raise ConfigError(
-            f"center has dimension {len(center)} but the support has dimension {dim}"
+            f"center has dimension {len(center)} but the support has dimension {support.dim}"
         )
-    return alpha, beta, variant, rho, center
+    return dict(
+        support=support, seq=_build_sequence(cfg["sequence"]),
+        targets=_build_targets(cfg["targets"]), alpha=alpha, beta=beta,
+        variant=variant, radius=radius, center=center, Q=_num(cfg.get("Q", 2)),
+        epochs=epochs or _int(game.get("epochs", 1)),
+    )
 
 
-def _game_config(alpha, beta, variant, support, ball, max_rounds) -> GameConfig:
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs) with GameConfig's ValueError (an initial center
+    off the support, alpha or beta outside (0, 1)) as a ConfigError."""
     try:
-        return GameConfig(alpha, beta, variant, support, ball, max_rounds)
+        return build(*args, **kwargs)
+    except ParameterError:
+        raise
     except ValueError as e:
-        # an initial center off the support, or alpha or beta outside (0, 1)
         raise ConfigError(str(e)) from e
+
+
+def _read_transcript(path: str) -> GameTranscript:
+    try:
+        return load_transcript(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        # not JSON, a field that is not an exact rational, an unknown player
+        raise ConfigError(f"cannot read transcript {path}: {type(e).__name__}: {e}") from e
 
 
 def _seed(args) -> int:
@@ -216,79 +229,35 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _k_max(seq: MatrixSequence, cap: Fraction) -> int:
-    out = 0
-    k = 0
-    misses = 0
-    while True:
-        k += 1
-        if seq.finite and k > len(seq):
-            break
-        t = seq.t(k)
-        if t.hi < cap:
-            out = k
-            misses = 0
-        else:
-            misses += 1
-            if not seq.finite and misses >= 8:
-                break
-        if not seq.finite and k > 10000:
-            break
-    return out
-
-
 def cmd_play(args) -> int:
     cfg = _load_config(args.config)
-    game = cfg["game"]
-    support = _build_support(cfg["support"])
-    alpha, beta, variant, rho, center = _build_game(game, support.dim)
-    epochs = args.epochs or _int(game.get("epochs", 1))
+    inputs = _game_inputs(cfg, args.epochs)
+    seq, targets, support = inputs["seq"], inputs["targets"], inputs["support"]
     mode = args.mode or cfg.get("strategy", {}).get("mode", "certified")
-    seq = _build_sequence(cfg["sequence"])
-    targets = _build_targets(cfg["targets"])
-    Q = _num(cfg.get("Q", 2))
-    delta = targets.delta
     seed = _seed(args)
 
-    if mode == "certified":
-        if variant is Variant.STRONG:
-            s, beta_v = virtual_beta(alpha, beta)
-            params = schedule_params(alpha, beta_v, Q, support.decay, delta, rho)
-            inner = Theorem42Alice(params, seq, targets, support, alpha, beta_v)
-            alice = strong_wrapper(inner, alpha)
-            beta_eff = beta_v
-            max_rounds = s * ((epochs + 1) * params.r - 1) - 1
-        else:
-            params = schedule_params(alpha, beta, Q, support.decay, delta, rho)
-            alice = Theorem42Alice(params, seq, targets, support, alpha, beta)
-            beta_eff = beta
-            max_rounds = (epochs + 1) * params.r - 1
-        c_theory = params.c
+    certified = mode == "certified"
+    if certified:
+        game = _checked(certified_game, **inputs)
+        config, alice, kmax, c_theory = game.config, game.alice(), game.k_max, game.params.c
     else:
-        params = None
-        beta_eff = beta
-        alice = GreedyAlice(seq, targets, support, alpha, delta / 100)
-        max_rounds = args.horizon or 24
+        kmax = args.horizon or 24
+        ball = Ball(inputs["center"], inputs["radius"])
+        config = _checked(
+            GameConfig, inputs["alpha"], inputs["beta"], inputs["variant"], support, ball, kmax
+        )
+        alice = GreedyAlice(seq, targets, support, inputs["alpha"], targets.delta / 100)
         c_theory = Fraction(0)
 
     bob_name = cfg.get("strategy", {}).get("bob", "random")
     bobs = bob_adversaries(seq, targets, seed)
     if bob_name not in bobs:
         raise ConfigError(f"unknown adversary {bob_name!r}")
-    bob = bobs[bob_name]
-
-    game_config = _game_config(alpha, beta, variant, support, Ball(center, rho), max_rounds)
     t0 = time.perf_counter()
-    transcript = run_game(game_config, alice, bob, seed=seed)
+    transcript = run_game(config, alice, bobs[bob_name], seed=seed)
     wall = time.perf_counter() - t0
-
-    if params is not None:
-        cap = (1 / (alpha * beta_eff)) ** (params.r * epochs)
-        kmax = _k_max(seq, cap)
-    else:
-        kmax = args.horizon or 24
     margin = limit_margin(transcript, seq, targets, kmax)
-    won = margin >= c_theory if params is not None else margin > 0
+    won = margin >= c_theory if certified else margin > 0
 
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -298,7 +267,7 @@ def cmd_play(args) -> int:
         "won": won,
         "c_theory": format_frac(c_theory),
         "realized_margin": format_frac(margin),
-        "epochs_completed": epochs if params is not None else 0,
+        "epochs_completed": inputs["epochs"] if certified else 0,
         "k_max": kmax,
         "wall_time": round(wall, 3),
         "transcript": tpath,
@@ -407,68 +376,25 @@ def cmd_badapprox(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    game = cfg["game"]
-    support = _build_support(cfg["support"])
-    alpha, beta, variant, rho, center = _build_game(game, support.dim)
-    seq = _build_sequence(cfg["sequence"])
-    targets = _build_targets(cfg["targets"])
-    Q = _num(cfg.get("Q", 2))
-    epochs = args.epochs or _int(game.get("epochs", 1))
-    transcript = load_transcript(args.transcript)
-    checks: List[str] = []
-    ok = True
-
-    if variant is Variant.STRONG:
-        _, beta_eff = virtual_beta(alpha, beta)
-    else:
-        beta_eff = beta
-    params = schedule_params(alpha, beta_eff, Q, support.decay, targets.delta, rho)
-    max_rounds = (len(transcript.moves) - 1) // 2
-    game_config = _game_config(alpha, beta, variant, support, Ball(center, rho), max_rounds)
-    replay = validate_transcript(transcript, game_config)
-    checks.append(f"replay: {'ok' if replay else 'FAIL'}")
-    ok = ok and replay
-
-    cap = (1 / (alpha * beta_eff)) ** (params.r * epochs)
-    kmax = _k_max(seq, cap)
-    margin = limit_margin(transcript, seq, targets, kmax)
-    margin_ok = margin >= params.c
-    checks.append(
+    inputs = _game_inputs(cfg, args.epochs)
+    transcript = _read_transcript(args.transcript)
+    game = _checked(certified_game, **inputs)
+    if not validate_transcript(transcript, game.config):
+        # a margin or certificate read off a transcript that does not replay
+        # proves nothing
+        print("replay: FAIL")
+        return EXIT_LOST
+    margin = game.margin(transcript)
+    margin_ok = margin >= game.params.c
+    epochs = game.epoch_checks(transcript)
+    print("replay: ok")
+    print(
         f"margin: {'ok' if margin_ok else 'FAIL'} "
-        f"({format_frac(margin)} vs c={format_frac(params.c)})"
+        f"({format_frac(margin)} vs c={format_frac(game.params.c)})"
     )
-    ok = ok and margin_ok
-
-    if variant is Variant.CLASSIC and transcript.final_enclosure is not None:
-        # re-derive every epoch's constraints and re-check disjointness
-        final = transcript.final_enclosure
-        bob_balls = {m.round_no: m.ball for m in transcript.moves if m.player.value == "bob"}
-        for j in range(1, epochs + 1):
-            start = params.r * j
-            if start not in bob_balls:
-                checks.append(f"epoch {j}: missing ball, skipped")
-                continue
-            try:
-                ecs = epoch_constraints(
-                    bob_balls[start], seq, targets, params, j, alpha, beta
-                )
-            except MoreThanOneTarget as e:
-                checks.append(f"epoch {j}: FAIL ({e})")
-                ok = False
-                continue
-            bad = [
-                ec.k
-                for ec in ecs
-                if not slab_distance_exceeds(final, ec.cert_slab, Fraction(0))
-            ]
-            if bad:
-                checks.append(f"epoch {j}: FAIL at k={bad}")
-                ok = False
-            else:
-                checks.append(f"epoch {j}: {len(ecs)} certificates ok")
-    for line in checks:
-        print(line)
-    return EXIT_OK if ok else EXIT_LOST
+    for check in epochs:
+        print(check)
+    return EXIT_OK if margin_ok and all(c.ok for c in epochs) else EXIT_LOST
 
 
 def main(argv: Optional[List[str]] = None) -> int:

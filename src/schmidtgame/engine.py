@@ -141,27 +141,26 @@ def run_game(
 
 
 def validate_transcript(t: GameTranscript, config: GameConfig) -> bool:
-    """Replay every rule check exactly."""
-    if not t.moves or t.moves[0].player is not Player.BOB:
+    """Replay every rule check exactly.  The transcript must carry this
+    config's digest and hold its 2*max_rounds + 1 moves, numbered as
+    run_game numbers them, ending on the final enclosure."""
+    if t.config_digest != _config_digest(config):
         return False
-    first = t.moves[0].ball
-    if first != config.initial_ball:
+    if len(t.moves) != 2 * config.max_rounds + 1:
         return False
-    if not config.support.on_support(first.center):
+    first = t.moves[0]
+    if first.player is not Player.BOB or first.round_no != 1 or first.ball != config.initial_ball:
         return False
-    current = first
-    expect_alice = True
-    for mv in t.moves[1:]:
-        player = Player.ALICE if expect_alice else Player.BOB
-        if mv.player is not player:
+    current = first.ball
+    for i, mv in enumerate(t.moves[1:], 1):
+        # Alice moves at odd indices; move i is numbered round i // 2 + 1
+        player = Player.ALICE if i % 2 else Player.BOB
+        if mv.player is not player or mv.round_no != i // 2 + 1 or mv.ball.dim != current.dim:
             return False
         if _check_move(config, player, mv.round_no, current, mv.ball) is not None:
             return False
         current = mv.ball
-        expect_alice = not expect_alice
-    if t.final_enclosure is not None and t.final_enclosure != current:
-        return False
-    return True
+    return t.final_enclosure == current
 
 
 # +infinity sentinel for an empty constraint horizon
@@ -248,6 +247,8 @@ def load_transcript(path: str) -> GameTranscript:
     with open(path) as fh:
         for line in fh:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"not a JSON object: {line.strip()}")
             kind = rec.pop("type")
             if kind == "config":
                 t.config_digest = rec

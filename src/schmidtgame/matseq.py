@@ -588,18 +588,6 @@ class MatrixSequence:
     def finite(self) -> bool:
         return self.kind != "powers"
 
-    @property
-    def input_dim(self) -> int:
-        if self.kind == "powers":
-            return mat_shape(self.base)[1]
-        return mat_shape(self.matrices[0])[1]
-
-    @property
-    def output_dim(self) -> int:
-        if self.kind == "powers":
-            return mat_shape(self.base)[0]
-        return mat_shape(self.matrices[0])[0]
-
     def matrix(self, k: int) -> Matrix:
         """M_k, 1-indexed."""
         if k < 1:

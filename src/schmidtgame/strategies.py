@@ -12,13 +12,14 @@ certificates at epoch boundaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .engine import GameConfig, GameTranscript
+from .engine import GameConfig, GameTranscript, Player, Variant, limit_margin
 from .exact import frac, sqrt_interval
 from .geometry import (
     Ball,
@@ -265,15 +266,6 @@ def avoidance_move(
     return _avoid_on_cells(K, ball, slabs, alpha, need)
 
 
-def single_escape(
-    K: SupportModel, ball: Ball, slab: SlabConstraint, alpha: Fraction
-) -> Vec:
-    center, avoided = avoidance_move(K, ball, [slab], alpha)
-    if avoided != [0]:
-        raise NoFeasibleCenter("single slab not escaped")
-    return center
-
-
 # ---------------------------------------------------------------------------
 # epoch constraints
 
@@ -286,36 +278,39 @@ class EpochConstraint:
     cert_slab: SlabConstraint  # halfwidth c/t_k (final certificate)
 
 
+def _solve(A, b: Vec) -> Optional[Vec]:
+    """A solution of A x = b over Q with every free variable 0, or None."""
+    n = len(A[0])
+    R, pivots = rref(tuple(row + (bi,) for row, bi in zip(A, b)))
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][n]
+    return tuple(x)
+
+
 def _preimage_min_norm(M, y: Vec) -> Optional[Vec]:
     """Minimum-norm least-squares solution of M x = y over Q."""
     Mt = transpose(M)
-    A = mat_mul(Mt, M)
-    b = mat_vec(Mt, y)
-    n = len(A)
-    aug = tuple(row + (bi,) for row, bi in zip(A, b))
-    R, pivots = rref(aug)
-    if n in pivots:
+    x0 = _solve(mat_mul(Mt, M), mat_vec(Mt, y))
+    if x0 is None:
         return None  # inconsistent; cannot happen for normal equations
-    x0 = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x0[i if False else pc] = R[i][n]
-    x0 = tuple(x0)
     null = kernel_basis(M)
     if not null:
         return x0
     # remove the null-space component: solve the Gram system
-    g = len(null)
-    gram = tuple(tuple(dot(null[i], null[j]) for j in range(g)) for i in range(g))
-    rhs = tuple(dot(null[i], x0) for i in range(g))
-    aug2 = tuple(row + (ri,) for row, ri in zip(gram, rhs))
-    R2, piv2 = rref(aug2)
-    coef = [Fraction(0)] * g
-    for i, pc in enumerate(piv2):
-        coef[pc] = R2[i][g]
-    out = list(x0)
+    gram = tuple(tuple(dot(u, v) for v in null) for u in null)
+    coef = _solve(gram, tuple(dot(u, x0) for u in null))
+    out = x0
     for ci, nv in zip(coef, null):
-        out = [o - ci * nvi for o, nvi in zip(out, nv)]
-    return tuple(out)
+        out = tuple(o - ci * nvi for o, nvi in zip(out, nv))
+    return out
+
+
+def _indices(seq: MatrixSequence) -> Iterable[int]:
+    """k = 1, 2, ...: to the end of a finite sequence, else without end."""
+    return range(1, len(seq) + 1) if seq.finite else itertools.count(1)
 
 
 def _window_indices(
@@ -323,12 +318,8 @@ def _window_indices(
 ) -> List[int]:
     """Indices k whose norm enclosure meets [lo_cap, hi_cap)."""
     out = []
-    k = 0
     beyond = 0
-    while True:
-        k += 1
-        if seq.finite and k > len(seq):
-            break
+    for k in _indices(seq):
         t = seq.t(k)
         if t.hi >= lo_cap and t.lo < hi_cap:
             out.append(k)
@@ -338,9 +329,7 @@ def _window_indices(
                 break
         else:
             beyond = 0
-        if seq.finite:
-            continue
-        if k > 100000:
+        if not seq.finite and k > 100000:
             raise CertificateError("window scan did not terminate")
     return out
 
@@ -461,7 +450,6 @@ class Theorem42Alice:
         self.resolved: List[EpochConstraint] = []
         self.handled_k: set = set()
         self.pre_slabs: Optional[List[EpochConstraint]] = None
-        self.epochs_certified = 0
 
     def start(self, config: GameConfig, seed: int):
         self._reset()
@@ -469,11 +457,7 @@ class Theorem42Alice:
     def _initial_escapes(self, ball: Ball) -> List[EpochConstraint]:
         """Constraints with t_k certainly below 1 that meet the initial ball."""
         out = []
-        k = 0
-        while True:
-            k += 1
-            if self.seq.finite and k > len(self.seq):
-                break
+        for k in _indices(self.seq):
             t = self.seq.t(k)
             if t.lo >= 1:
                 if not self.seq.finite:
@@ -514,7 +498,8 @@ class Theorem42Alice:
             ann["new_constraints"] = [ec.k for ec in fresh]
         if i < r and self.pre_slabs:
             ec = self.pre_slabs.pop(0)
-            center = single_escape(self.support, outer, ec.slab, a)
+            # one slab needs ceil(epsilon) = 1 clearance, or NoFeasibleCenter
+            center, _ = avoidance_move(self.support, outer, [ec.slab], a)
             self.resolved.append(ec)
             ann["pre_escape"] = ec.k
         elif self.pending:
@@ -558,7 +543,6 @@ class Theorem42Alice:
                         "margin_lb": str(slab_ball_distance(ball, ec.cert_slab)),
                     }
                 )
-            self.epochs_certified = j_done
             ann["certificates"] = certs
         return ball, ann
 
@@ -568,9 +552,6 @@ class CenteredAlice:
 
     def __init__(self, alpha: Fraction):
         self.alpha = frac(alpha)
-
-    def start(self, config, seed):
-        pass
 
     def propose(self, transcript, outer: Ball):
         return Ball(outer.center, self.alpha * outer.radius), {}
@@ -591,14 +572,9 @@ class GreedyAlice:
         self.c = frac(c)
         self.horizon = horizon
 
-    def start(self, config, seed):
-        pass
-
     def propose(self, transcript, outer: Ball):
         slabs = []
-        for k in range(1, self.horizon + 1):
-            if self.seq.finite and k > len(self.seq):
-                break
+        for k in itertools.islice(_indices(self.seq), self.horizon):
             t = self.seq.t(k)
             if t.lo * outer.radius > 4 * self.targets.delta:
                 break
@@ -670,10 +646,6 @@ class StrongWrapper:
         return Ball(outer.center, self.alpha * rho), {"dummy": True}
 
 
-def strong_wrapper(inner, alpha: Fraction) -> StrongWrapper:
-    return StrongWrapper(inner, alpha)
-
-
 def virtual_beta(alpha: Fraction, beta: Fraction) -> Tuple[int, Fraction]:
     """Stride s and inner beta for wrapping under the maximal adversary.
 
@@ -722,10 +694,121 @@ def intersect_strategies(strategies: Sequence, alpha: Fraction):
     return RoundRobinAlice(strategies, alpha)
 
 
-def moshchevitin_feasible(alpha: Fraction, beta: Fraction) -> bool:
-    """Parameter-validity predicate 1 + alpha*beta - 2*alpha > 0 (exact)."""
-    alpha, beta = frac(alpha), frac(beta)
-    return 1 + alpha * beta - 2 * alpha > 0
+# ---------------------------------------------------------------------------
+# certified games
+
+
+def certified_horizon(seq: MatrixSequence, cap: Fraction) -> int:
+    """Largest k with t_k certainly below cap: the indices a final margin
+    certifies.  An infinite sequence is scanned until 8 indices in a row
+    miss the cap, or past k = 10000."""
+    out = misses = 0
+    for k in _indices(seq):
+        if seq.t(k).hi < cap:
+            out, misses = k, 0
+        else:
+            misses += 1
+            if not seq.finite and misses >= 8:
+                break
+        if not seq.finite and k > 10000:
+            break
+    return out
+
+
+@dataclass(frozen=True)
+class EpochCheck:
+    """One epoch's constraints, re-derived on Bob's ball at the epoch's first
+    round, against the final enclosure."""
+
+    epoch: int
+    certified: int = 0            # constraints whose certificate slab it clears
+    failed: Tuple[int, ...] = ()  # indices k whose certificate slab it meets
+    error: str = ""               # why the epoch could not be re-derived
+
+    @property
+    def ok(self) -> bool:
+        return not (self.failed or self.error)
+
+    def __str__(self) -> str:
+        if self.error:
+            return f"epoch {self.epoch}: FAIL ({self.error})"
+        if self.failed:
+            return f"epoch {self.epoch}: FAIL at k={list(self.failed)}"
+        return f"epoch {self.epoch}: {self.certified} certificates ok"
+
+
+@dataclass(frozen=True)
+class CertifiedGame:
+    """A certified game as Theorem 4.2 assembles it from its inputs.
+
+    `beta` is the beta of the Classic game Alice's schedule plays: the
+    virtual beta of StrongWrapper in the Strong variant.  The final margin
+    is certified for k <= k_max."""
+
+    seq: MatrixSequence
+    targets: TargetFamily
+    config: GameConfig
+    params: ScheduleParams
+    beta: Fraction
+    epochs: int
+    k_max: int
+
+    def alice(self):
+        """A fresh Theorem42Alice, wrapped for the Strong variant."""
+        cfg = self.config
+        inner = Theorem42Alice(
+            self.params, self.seq, self.targets, cfg.support, cfg.alpha, self.beta
+        )
+        return StrongWrapper(inner, cfg.alpha) if cfg.variant is Variant.STRONG else inner
+
+    def margin(self, transcript: GameTranscript) -> Fraction:
+        return limit_margin(transcript, self.seq, self.targets, self.k_max)
+
+    def epoch_checks(self, transcript: GameTranscript) -> List[EpochCheck]:
+        """Re-derive every epoch's constraints on a transcript that replays
+        and re-check their certificate slabs against its final enclosure.
+        Classic variant only: no check is made for a Strong game."""
+        if self.config.variant is not Variant.CLASSIC:
+            return []
+        final = transcript.final_enclosure
+        bob_balls = {m.round_no: m.ball for m in transcript.moves if m.player is Player.BOB}
+        out = []
+        for j in range(1, self.epochs + 1):
+            try:
+                ecs = epoch_constraints(
+                    bob_balls[self.params.r * j], self.seq, self.targets, self.params,
+                    j, self.config.alpha, self.beta,
+                )
+            except (MoreThanOneTarget, CertificateError) as e:
+                out.append(EpochCheck(j, error=str(e)))
+                continue
+            failed = tuple(
+                ec.k for ec in ecs
+                if not slab_distance_exceeds(final, ec.cert_slab, Fraction(0))
+            )
+            out.append(EpochCheck(j, len(ecs) - len(failed), failed))
+        return out
+
+
+def certified_game(
+    support: SupportModel, seq: MatrixSequence, targets: TargetFamily,
+    alpha: Fraction, beta: Fraction, variant: Variant, radius: Fraction,
+    center: Vec, Q: Fraction, epochs: int,
+) -> CertifiedGame:
+    """The schedule, round count and horizon of a certified game.
+
+    Raises ParameterError when no schedule exists and ValueError when
+    GameConfig rejects the initial ball, alpha or beta.
+    """
+    alpha = frac(alpha)
+    s, beta_v = virtual_beta(alpha, beta) if variant is Variant.STRONG else (1, frac(beta))
+    params = schedule_params(alpha, beta_v, Q, support.decay, targets.delta, radius)
+    rounds = (epochs + 1) * params.r - 1
+    if variant is Variant.STRONG:
+        rounds = s * rounds - 1
+    config = GameConfig(alpha, beta, variant, support, Ball(center, radius), rounds)
+    k_max = certified_horizon(seq, (1 / (alpha * beta_v)) ** (params.r * epochs))
+    return CertifiedGame(seq, targets, config, params, beta_v, epochs, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +911,6 @@ class RandomBob:
 
 class MaximalBob:
     """Takes the full radius every turn (legal only in the Strong variant)."""
-
-    def start(self, config, seed):
-        pass
 
     def propose(self, transcript, outer: Ball):
         return Ball(outer.center, outer.radius), {"maximal": True}

@@ -47,10 +47,10 @@ from schmidtgame.strategies import (
     Theorem42Alice,
     avoidance_move,
     bob_adversaries,
-    epoch_constraints,
+    certified_game,
+    certified_horizon,
     intersect_strategies,
     schedule_params,
-    strong_wrapper,
     virtual_beta,
 )
 from schmidtgame.supports import (
@@ -74,47 +74,6 @@ def cantor_set():
     maps = [Similarity(F(1, 3), (F(0),)), Similarity(F(1, 3), (F(2, 3),))]
     decay = DecayParams(C=F(33, 16), gamma=F(5, 8), ambient_dim=1)
     return SupportModel.ifs(maps, (F(0),), (F(1),), decay)
-
-
-def k_cap(seq, cap, limit=500):
-    """Largest k <= limit with t(k) certainly below cap."""
-    out = 0
-    for k in range(1, limit + 1):
-        if seq.finite and k > len(seq):
-            break
-        if seq.t(k).hi < cap:
-            out = k
-        else:
-            break
-    return out
-
-
-def run_certified(seq, targets, K, alpha, beta, rho, Q, center, epochs, bob):
-    params = schedule_params(alpha, beta, Q, K.decay, targets.delta, rho)
-    alice = Theorem42Alice(params, seq, targets, K, alpha, beta)
-    rounds = (epochs + 1) * params.r - 1
-    cfg = GameConfig(alpha, beta, Variant.CLASSIC, K, Ball(center, rho), rounds)
-    transcript = run_game(cfg, alice, bob)
-    kmax = k_cap(seq, (1 / (alpha * beta)) ** (params.r * epochs))
-    margin = limit_margin(transcript, seq, targets, kmax)
-    return params, cfg, transcript, kmax, margin
-
-
-def recheck_epoch_certificates(transcript, seq, targets, params, epochs, alpha, beta):
-    """Re-derive every epoch's constraints and re-prove disjointness."""
-    final = transcript.final_enclosure
-    bob_balls = {
-        m.round_no: m.ball for m in transcript.moves if m.player.value == "bob"
-    }
-    total = 0
-    for j in range(1, epochs + 1):
-        ecs = epoch_constraints(
-            bob_balls[params.r * j], seq, targets, params, j, alpha, beta
-        )
-        for ec in ecs:
-            assert slab_distance_exceeds(final, ec.cert_slab, F(0))
-        total += len(ecs)
-    return total
 
 
 def test_criterion_01_avoidance_lemma_suite():
@@ -161,36 +120,31 @@ def test_criterion_02_theorem42_one_dimensional():
     for name in ("chase", "random"):
         bob = bob_adversaries(seq, targets, 0)[name]
         t0 = time.monotonic()
-        params, cfg, transcript, kmax, margin = run_certified(
-            seq, targets, K, alpha, beta, rho, F(3), (F(1, 6),), 2, bob
+        game = certified_game(
+            K, seq, targets, alpha, beta, Variant.CLASSIC, rho, (F(1, 6),), F(3), 2
         )
+        transcript = run_game(game.config, game.alice(), bob)
+        margin = game.margin(transcript)
         assert time.monotonic() - t0 < 60
-        assert (params.N, params.r) == (14, 7)
-        assert params.c == c_theory
-        assert validate_transcript(transcript, cfg)
+        assert (game.params.N, game.params.r) == (14, 7)
+        assert game.params.c == c_theory
+        assert game.k_max == 26
+        assert validate_transcript(transcript, game.config)
         assert margin >= c_theory
-        rechecked = recheck_epoch_certificates(
-            transcript, seq, targets, params, 2, alpha, beta
-        )
+        checks = game.epoch_checks(transcript)
+        assert [c.epoch for c in checks] == [1, 2] and all(c.ok for c in checks)
         if name == "chase":
             # the chasing adversary forces live constraints; a random one may
             # legitimately leave every reach window empty
-            assert rechecked > 0
+            assert sum(c.certified for c in checks) > 0
     # maximal adversary, playable only under the strong variant (criterion 9
     # re-checks the wrapper internals; here we check the win itself)
-    s, beta_v = virtual_beta(alpha, beta)
-    rho_s = F(1, 80)
-    params = schedule_params(alpha, beta_v, F(3), K.decay, targets.delta, rho_s)
-    alice = strong_wrapper(
-        Theorem42Alice(params, seq, targets, K, alpha, beta_v), alpha
+    game = certified_game(
+        K, seq, targets, alpha, beta, Variant.STRONG, F(1, 80), (F(1, 6),), F(3), 2
     )
-    rounds = s * (3 * params.r - 1) - 1
-    cfg = GameConfig(
-        alpha, beta, Variant.STRONG, K, Ball((F(1, 6),), rho_s), rounds
-    )
-    transcript = run_game(cfg, alice, bob_adversaries()["maximal"])
-    kmax = k_cap(seq, (1 / (alpha * beta_v)) ** (2 * params.r))
-    assert limit_margin(transcript, seq, targets, kmax) >= params.c
+    transcript = run_game(game.config, game.alice(), bob_adversaries()["maximal"])
+    assert game.k_max == 40
+    assert game.margin(transcript) >= game.params.c
     print("CRITERION 2: PASS (1-D certified wins vs chase/random/maximal)")
 
 
@@ -200,24 +154,19 @@ def test_criterion_03_theorem42_two_dimensional():
     K = euclidean(2, C=F(2))
     alpha, beta = F(1, 6), F(1, 2)
     t0 = time.monotonic()
-    params, cfg, transcript, kmax, margin = run_certified(
-        seq,
-        targets,
-        K,
-        alpha,
-        beta,
-        F(1, 50),
-        F(3),
-        (F(1, 5), F(1, 5)),
-        1,
-        bob_adversaries(seq, targets, 0)["chase"],
+    game = certified_game(
+        K, seq, targets, alpha, beta, Variant.CLASSIC, F(1, 50), (F(1, 5), F(1, 5)), F(3), 1
     )
+    bob = bob_adversaries(seq, targets, 0)["chase"]
+    transcript = run_game(game.config, game.alice(), bob)
+    margin = game.margin(transcript)
     assert time.monotonic() - t0 < 300
-    assert validate_transcript(transcript, cfg)
-    assert margin >= params.c
-    assert recheck_epoch_certificates(
-        transcript, seq, targets, params, 1, alpha, beta
-    ) > 0
+    assert game.k_max == 38
+    assert validate_transcript(transcript, game.config)
+    assert margin >= game.params.c
+    checks = game.epoch_checks(transcript)
+    assert [c.epoch for c in checks] == [1] and all(c.ok for c in checks)
+    assert checks[0].certified > 0
     print("CRITERION 3: PASS (diag(2,3) on R^2, certified epoch)")
 
 
@@ -236,31 +185,23 @@ def is_cantor_code_word(x):
 def test_criterion_04_cantor_support():
     seq = MatrixSequence.powers(((F(2),),))
     targets = TargetFamily.lattice([F(1, 2)])
-    K = cantor_set()
     alpha, beta = F(1, 9), F(1, 2)
-    params, cfg, transcript, kmax, margin = run_certified(
-        seq,
-        targets,
-        K,
-        alpha,
-        beta,
-        F(1, 200),
-        F(2),
-        (F(1, 4),),
-        1,
-        bob_adversaries(seq, targets, 0)["chase"],
+    game = certified_game(
+        cantor_set(), seq, targets, alpha, beta, Variant.CLASSIC, F(1, 200), (F(1, 4),), F(2), 1
     )
-    assert validate_transcript(transcript, cfg)
-    assert margin >= params.c
+    bob = bob_adversaries(seq, targets, 0)["chase"]
+    transcript = run_game(game.config, game.alice(), bob)
+    assert game.k_max == 145
+    assert validate_transcript(transcript, game.config)
+    assert game.margin(transcript) >= game.params.c
     alice_centers = [
         m.ball.center[0] for m in transcript.moves if m.player.value == "alice"
     ]
     assert alice_centers
     for x in alice_centers:
         assert is_cantor_code_word(x), f"non-code-word center {x}"
-    assert recheck_epoch_certificates(
-        transcript, seq, targets, params, 1, alpha, beta
-    ) >= 0
+    checks = game.epoch_checks(transcript)
+    assert [c.epoch for c in checks] == [1] and all(c.ok for c in checks)
     print("CRITERION 4: PASS (Cantor support, code-word centers)")
 
 
@@ -336,22 +277,15 @@ def test_criterion_08_bad_margin_irrational():
     approx = best_approx_sequence(A, 17)
     assert approx.denominators[:7] == [1, 2, 5, 12, 29, 70, 169]
     seq, targets = bad_reduction(A, approx)
-    K = euclidean(1)
     alpha, beta = F(1, 4), F(1, 2)
-    params, cfg, transcript, kmax, margin = run_certified(
-        seq,
-        targets,
-        K,
-        alpha,
-        beta,
-        F(1, 40),
-        F(3),
-        (F(2, 5),),
-        2,
-        bob_adversaries(seq, targets, 0)["chase"],
+    game = certified_game(
+        euclidean(1), seq, targets, alpha, beta, Variant.CLASSIC, F(1, 40), (F(2, 5),), F(3), 2
     )
-    assert validate_transcript(transcript, cfg)
-    assert margin >= params.c
+    bob = bob_adversaries(seq, targets, 0)["chase"]
+    transcript = run_game(game.config, game.alice(), bob)
+    assert game.k_max == 17
+    assert validate_transcript(transcript, game.config)
+    assert game.margin(transcript) >= game.params.c
     lower = bad_margin(A, transcript.final_enclosure, 10 ** 5)
     assert lower > 0
     assert time.monotonic() - t0 < 300
@@ -361,16 +295,17 @@ def test_criterion_08_bad_margin_irrational():
 def test_criterion_09_strong_variant():
     seq = MatrixSequence.powers(((F(3),),))
     targets = TargetFamily.lattice([F(1, 2)])
-    K = euclidean(1)
     alpha, beta, rho = F(1, 4), F(1, 2), F(1, 80)
     s, beta_v = virtual_beta(alpha, beta)
     assert (s, beta_v) == (2, F(1, 4))
-    params = schedule_params(alpha, beta_v, F(3), K.decay, targets.delta, rho)
-    inner = Theorem42Alice(params, seq, targets, K, alpha, beta_v)
-    wrapper = strong_wrapper(inner, alpha)
-    rounds = s * (3 * params.r - 1) - 1
-    cfg = GameConfig(alpha, beta, Variant.STRONG, K, Ball((F(1, 6),), rho), rounds)
-    transcript = run_game(cfg, wrapper, bob_adversaries()["maximal"])
+    game = certified_game(
+        euclidean(1), seq, targets, alpha, beta, Variant.STRONG, rho, (F(1, 6),), F(3), 2
+    )
+    params = game.params
+    assert game.beta == beta_v
+    assert game.config.max_rounds == s * (3 * params.r - 1) - 1
+    wrapper = game.alice()
+    transcript = run_game(game.config, wrapper, bob_adversaries()["maximal"])
     # the inner strategy must have seen an exact Classic game for (alpha, beta_v)
     observed = wrapper.observed
     assert len(observed) >= 2 * (3 * params.r - 1) - 1
@@ -381,9 +316,8 @@ def test_criterion_09_strong_variant():
         assert dist2(observed[i].center, observed[i - 1].center) <= (
             observed[i - 1].radius - observed[i].radius
         ) ** 2
-    kmax = k_cap(seq, (1 / (alpha * beta_v)) ** (2 * params.r))
-    margin = limit_margin(transcript, seq, targets, kmax)
-    assert margin >= params.c
+    assert game.k_max == 40
+    assert game.margin(transcript) >= params.c
     print("CRITERION 9: PASS (strong wrapper, observed game exactly Classic)")
 
 
@@ -411,7 +345,7 @@ def test_criterion_10_intersection():
     transcript = run_game(cfg, alice, bob_adversaries(seq, families[0], 0)["chase"])
     assert validate_transcript(transcript, cfg)
     for p, fam in zip(plist, families):
-        kmax = k_cap(seq, (1 / (alpha * beta_i)) ** p.r)
+        kmax = certified_horizon(seq, (1 / (alpha * beta_i)) ** p.r)
         margin = limit_margin(transcript, seq, fam, kmax)
         assert margin >= p.c > 0
     print("CRITERION 10: PASS (round-robin intersection, both margins certified)")

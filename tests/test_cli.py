@@ -162,6 +162,76 @@ class TestVerify:
         )
 
 
+class TestVerifyAgainstConfig:
+    """verify replays a transcript against the game its config builds."""
+
+    @pytest.fixture
+    def played(self, tmp_path, capsys):
+        out = tmp_path / "play"
+        argv = ["play", "--config", config("pow3_classic.json"), "--epochs", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        return out / "transcript.jsonl"
+
+    def test_same_epochs_ok(self, played, capsys):
+        argv = ["verify", str(played), "--config", config("pow3_classic.json")]
+        assert main(argv + ["--epochs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "replay: ok" and lines[2].startswith("epoch 1: ")
+        assert len(lines) == 3
+
+    def test_other_epochs_fail(self, played, capsys):
+        # the config's 2 epochs need 3r - 1 rounds; the transcript has 2r - 1
+        argv = ["verify", str(played), "--config", config("pow3_classic.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.splitlines()[0] == "replay: FAIL"
+
+    def test_other_alpha_fails(self, played, tmp_path, capsys):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg["game"]["alpha"] = "3/10"
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        argv = ["verify", str(played), "--config", str(other), "--epochs", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.splitlines()[0] == "replay: FAIL"
+
+    @pytest.mark.parametrize("keep", [-1, 0], ids=["no_summary", "empty"])
+    def test_truncated_fails_replay(self, played, capsys, keep):
+        lines = played.read_text().splitlines(keepends=True)
+        played.write_text("".join(lines[:keep]))
+        argv = ["verify", str(played), "--config", config("pow3_classic.json")]
+        assert main(argv + ["--epochs", "1"]) == 2
+        assert capsys.readouterr().out == "replay: FAIL\n"
+
+
+class TestMalformedTranscript:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: ["{not json"] + lines[1:],
+            lambda lines: lines[:2] + [lines[2].replace('"center": [', '"center": ["x", ')] + lines[3:],
+            lambda lines: lines[:2] + [lines[2].replace('"alice"', '"carol"')] + lines[3:],
+            lambda lines: lines[:2] + [lines[2].replace('"round"', '"turn"')] + lines[3:],
+            lambda lines: lines[:2] + ["[1, 2]"] + lines[3:],
+            lambda lines: lines[:2] + ["5"] + lines[3:],
+        ],
+        ids=["not_json", "bad_center", "unknown_player", "missing_key", "list_line",
+             "number_line"],
+    )
+    def test_exit_4(self, tmp_path, capsys, edit):
+        assert main(["play", "--config", config("pow3_classic.json"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        tpath = tmp_path / "transcript.jsonl"
+        lines = tpath.read_text().splitlines()
+        assert '"player": "alice"' in lines[2]
+        tpath.write_text("".join(line + "\n" for line in edit(lines)))
+        assert main(["verify", str(tpath), "--config", config("pow3_classic.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read transcript {tpath}")
+
+
 class TestDegenerateDirection:
     def test_play_and_verify_exit_3(self, tmp_path, capsys, monkeypatch):
         args = ["--config", config("pow3_classic.json")]
@@ -423,3 +493,12 @@ class TestSeedFallback:
         )
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["seed"] == 9
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            text = fh.read()
+        example = text.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "certified_game(" in example
+        exec(compile(example, "README.md", "exec"), {})

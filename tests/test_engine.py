@@ -145,6 +145,36 @@ class TestValidateTranscript:
         )
         assert not validate_transcript(t, cfg)
 
+    def test_other_config_rejected(self):
+        # a legal game of 4 rounds is no transcript of a 3- or 5-round config,
+        # nor of one whose digest names another beta
+        t = run_game(classic_config(4), CenteredAlice(F(1, 4)), CenteredBob())
+        for cfg in (classic_config(3), classic_config(5)):
+            assert not validate_transcript(t, cfg)
+        other = classic_config(4)
+        t.config_digest = dict(t.config_digest, beta="1/3")
+        assert not validate_transcript(t, other)
+
+    def test_truncated_or_renumbered_rejected(self):
+        cfg = classic_config(4)
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        short = GameTranscript(t.config_digest, t.moves[:-2], [], t.moves[-3].ball)
+        assert not validate_transcript(short, cfg)
+        mv = t.moves[3]
+        t.moves[3] = Move(mv.round_no + 1, mv.player, mv.ball, mv.annotations)
+        assert not validate_transcript(t, cfg)
+
+    def test_wrong_final_or_dimension_rejected(self):
+        cfg = classic_config(4)
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        final = t.final_enclosure
+        t.final_enclosure = None
+        assert not validate_transcript(t, cfg)
+        t.final_enclosure = final
+        mv = t.moves[2]
+        t.moves[2] = Move(mv.round_no, mv.player, Ball((F(0), F(0)), mv.ball.radius))
+        assert not validate_transcript(t, cfg)
+
 
 class TestSerialization:
     def test_save_load_exact(self, tmp_path):

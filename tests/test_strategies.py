@@ -27,11 +27,10 @@ from schmidtgame.strategies import (
     Theorem42Alice,
     avoidance_move,
     bob_adversaries,
+    certified_game,
     epoch_constraints,
     intersect_strategies,
-    moshchevitin_feasible,
     schedule_params,
-    single_escape,
     virtual_beta,
 )
 from schmidtgame.supports import (
@@ -106,17 +105,15 @@ def _reference_schedule_search(alpha, beta, Q, decay, delta, rho):
 
 
 def _shipped_schedule_inputs():
+    """schedule_params's arguments as certified_game derives them for the
+    shipped game configs: the virtual beta for the strong variant."""
     out = []
     for name in ("cantor_pow2", "dim2_classic", "pow3_classic", "pow3_strong"):
         path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
         with open(path) as fh:
-            cfg = json.load(fh)
-        K = cli._build_support(cfg["support"])
-        alpha, beta, variant, rho, _ = cli._build_game(cfg["game"], K.dim)
-        if variant is Variant.STRONG:
-            beta = virtual_beta(alpha, beta)[1]
-        delta = cli._build_targets(cfg["targets"]).delta
-        out.append((alpha, beta, cli._num(cfg.get("Q", 2)), K.decay, delta, rho))
+            game = certified_game(**cli._game_inputs(json.load(fh), None))
+        p = game.params
+        out.append((game.config.alpha, game.beta, p.Q, game.config.support.decay, p.delta, p.rho))
     return out
 
 
@@ -196,15 +193,16 @@ class TestAvoidanceMove:
     def test_single_escape(self):
         K = line_support()
         slab = SlabConstraint((F(1),), F(0), F(1, 100))
-        c = single_escape(K, Ball((F(0),), F(1)), slab, F(1, 5))
+        c, avoided = avoidance_move(K, Ball((F(0),), F(1)), [slab], F(1, 5))
+        assert avoided == [0]
         assert slab_distance_exceeds(Ball(c, F(1, 5)), slab, F(0))
 
     def test_no_feasible_center_raised(self):
         K = line_support()
         # slab covering the whole ball: escape is impossible
         slab = SlabConstraint((F(1),), F(0), F(10))
-        with pytest.raises(NoFeasibleCenter):
-            single_escape(K, Ball((F(0),), F(1)), slab, F(1, 5))
+        with pytest.raises(NoFeasibleCenter, match="clears 0 of 1 slabs"):
+            avoidance_move(K, Ball((F(0),), F(1)), [slab], F(1, 5))
 
 
 def _grid_step(alpha: F, rho: F, n: int) -> F:
@@ -353,12 +351,6 @@ class TestStrongWrapper:
             assert a ** s <= a * b
             assert s == 1 or a ** (s - 1) > a * b
             assert bv == a ** (s - 1)
-
-
-class TestFeasibility:
-    def test_moshchevitin(self):
-        assert moshchevitin_feasible(F(1, 4), F(1, 2))
-        assert not moshchevitin_feasible(F(3, 4), F(1, 2))
 
 
 class TestAdversaries:
