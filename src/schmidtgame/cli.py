@@ -3,8 +3,8 @@
 Configuration is a JSON document with every exact rational written as a
 "p/q" string; algebraic numbers as {"poly": [...], "lo": "p/q", "hi": "p/q"}.
 Exit codes: 0 success/won, 2 lost or certificate failure, 3 infeasible
-parameters (including a sequence whose slab direction is degenerate), 4 I/O
-or configuration errors.
+parameters (including a sequence whose slab direction is degenerate), 4 I/O,
+configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from . import badapprox as ba
 from .engine import (
-    GameConfig,
     GameTranscript,
     InvalidMove,
     Variant,
@@ -39,7 +38,6 @@ from .matseq import (
 )
 from .strategies import (
     CertificateError,
-    GreedyAlice,
     MoreThanOneTarget,
     NoFeasibleCenter,
     bob_adversaries,
@@ -180,6 +178,9 @@ def _build_affine(cfg: Dict) -> ba.AffineSystem:
 def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
     """certified_game's arguments, parsed once for play and verify; a
     positive `epochs` (--epochs) overrides the config's."""
+    mode = _strategy(cfg).get("mode", "certified")
+    if mode != "certified":
+        raise ConfigError(f"unknown strategy mode {mode!r}: only 'certified' games are played")
     game = cfg["game"]
     support = _build_support(cfg["support"])
     alpha, beta = _num(game["alpha"]), _num(game["beta"])
@@ -201,6 +202,13 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
         variant=variant, radius=radius, center=center, Q=_num(cfg.get("Q", 2)),
         epochs=epochs or _int(game.get("epochs", 1)),
     )
+
+
+def _strategy(cfg: Dict) -> Dict:
+    strategy = cfg.get("strategy", {})
+    if not isinstance(strategy, dict):
+        raise ConfigError(f"strategy is not an object: {strategy!r}")
+    return strategy
 
 
 def _checked(build, *args, **kwargs):
@@ -232,32 +240,19 @@ def _seed(args) -> int:
 def cmd_play(args) -> int:
     cfg = _load_config(args.config)
     inputs = _game_inputs(cfg, args.epochs)
-    seq, targets, support = inputs["seq"], inputs["targets"], inputs["support"]
-    mode = args.mode or cfg.get("strategy", {}).get("mode", "certified")
+    seq, targets = inputs["seq"], inputs["targets"]
     seed = _seed(args)
+    game = _checked(certified_game, **inputs)
 
-    certified = mode == "certified"
-    if certified:
-        game = _checked(certified_game, **inputs)
-        config, alice, kmax, c_theory = game.config, game.alice(), game.k_max, game.params.c
-    else:
-        kmax = args.horizon or 24
-        ball = Ball(inputs["center"], inputs["radius"])
-        config = _checked(
-            GameConfig, inputs["alpha"], inputs["beta"], inputs["variant"], support, ball, kmax
-        )
-        alice = GreedyAlice(seq, targets, support, inputs["alpha"], targets.delta / 100)
-        c_theory = Fraction(0)
-
-    bob_name = cfg.get("strategy", {}).get("bob", "random")
+    bob_name = _strategy(cfg).get("bob", "random")
     bobs = bob_adversaries(seq, targets, seed)
     if bob_name not in bobs:
         raise ConfigError(f"unknown adversary {bob_name!r}")
     t0 = time.perf_counter()
-    transcript = run_game(config, alice, bobs[bob_name], seed=seed)
+    transcript = run_game(game.config, game.alice(), bobs[bob_name], seed=seed)
     wall = time.perf_counter() - t0
-    margin = limit_margin(transcript, seq, targets, kmax)
-    won = margin >= c_theory if certified else margin > 0
+    margin = limit_margin(transcript, seq, targets, game.k_max)
+    won = margin >= game.params.c
 
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -265,15 +260,15 @@ def cmd_play(args) -> int:
     save_transcript(transcript, tpath)
     summary = {
         "won": won,
-        "c_theory": format_frac(c_theory),
+        "c_theory": format_frac(game.params.c),
         "realized_margin": format_frac(margin),
-        "epochs_completed": inputs["epochs"] if certified else 0,
-        "k_max": kmax,
+        "epochs_completed": inputs["epochs"],
+        "k_max": game.k_max,
         "wall_time": round(wall, 3),
         "transcript": tpath,
         "certificates": len(transcript.certificates),
         "seed": seed,
-        "mode": mode,
+        "mode": "certified",
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -311,11 +306,15 @@ def cmd_estimate_decay(args) -> int:
     cfg = _load_config(args.config)
     support = _build_support(cfg["support"])
     seed = _seed(args)
-    est = estimate_decay(support, trials=args.trials, seed=seed)
     region = Ball(
         tuple(Fraction(0) for _ in range(support.dim)), Fraction(1)
     )
-    dim_lower = pointwise_dim_lower(support, region, trials=args.trials, seed=seed)
+    try:
+        est = estimate_decay(support, trials=args.trials, seed=seed)
+        dim_lower = pointwise_dim_lower(support, region, trials=args.trials, seed=seed)
+    except ValueError as e:
+        # too few --trials, or a support the estimators do not handle
+        raise ConfigError(f"estimate-decay: {e}") from e
     print(
         json.dumps(
             {
@@ -397,40 +396,44 @@ def cmd_verify(args) -> int:
     return EXIT_OK if margin_ok and all(c.ok for c in epochs) else EXIT_LOST
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, like config errors; argparse's own 2 means lost."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="schmidtgame")
+    parser = _Parser(prog="schmidtgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--mode", choices=["certified", "greedy"], default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-
-    p = sub.add_parser("play", help="run one game end to end")
-    common(p)
-    p.set_defaults(fn=cmd_play)
-
-    p = sub.add_parser("analyze-seq", help="lacunarity analysis of a sequence")
-    common(p)
-    p.add_argument("--jordan", action="store_true")
-    p.set_defaults(fn=cmd_analyze_seq)
-
-    p = sub.add_parser("estimate-decay", help="empirical decay parameters")
-    common(p)
-    p.add_argument("--trials", type=int, default=60)
-    p.set_defaults(fn=cmd_estimate_decay)
-
-    p = sub.add_parser("badapprox", help="badly approximable form analysis")
-    common(p)
-    p.set_defaults(fn=cmd_badapprox)
-
-    p = sub.add_parser("verify", help="re-validate a transcript")
-    p.add_argument("transcript")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    options = {
+        "transcript": {},
+        "--config": dict(required=True),
+        "--seed": dict(type=int),
+        "--out": {},
+        "--epochs": dict(type=int),
+        "--horizon": dict(type=int),
+        "--jordan": dict(action="store_true"),
+        "--trials": dict(type=int, default=60),
+    }
+    # each subcommand registers only the options it reads
+    for name, fn, text, names in (
+        ("play", cmd_play, "run one game end to end",
+         ("--config", "--seed", "--out", "--epochs")),
+        ("analyze-seq", cmd_analyze_seq, "lacunarity analysis of a sequence",
+         ("--config", "--horizon", "--jordan")),
+        ("estimate-decay", cmd_estimate_decay, "empirical decay parameters",
+         ("--config", "--seed", "--trials")),
+        ("badapprox", cmd_badapprox, "badly approximable form analysis", ("--config",)),
+        ("verify", cmd_verify, "re-validate a transcript",
+         ("transcript", "--config", "--epochs")),
+    ):
+        p = sub.add_parser(name, help=text)
+        for option in names:
+            p.add_argument(option, **options[option])
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

@@ -13,13 +13,6 @@ that eigenvector, widened by a residual and gap (Davis-Kahan) bound whose
 gap is certified by one more inertia count, or an exact kernel vector when
 the top eigenvalue is rational.  A sequence computes ||M_k||_op alone, from
 cached integer powers, and builds the top direction only when asked.
-
-The spectral radius test for power sequences goes through the resultant
-trick: the squared moduli |z_i|^2 of the eigenvalues are among the real
-roots of Res_x(p(x), x^d p(y/x)), so "radius <= 1" reduces to counting real
-roots above 1 with a Sturm chain.  Characteristic polynomials serve only
-that test and the unipotency check of Kronecker orders, whose matrices are
-not symmetric.
 """
 
 from __future__ import annotations
@@ -222,136 +215,45 @@ def cauchy_bound(p: Poly) -> Fraction:
 
 
 def charpoly(A: Matrix) -> Poly:
-    """Characteristic polynomial det(xI - A), monic, via Faddeev-LeVerrier."""
+    """Characteristic polynomial det(xI - A), monic, via Faddeev-LeVerrier.
+
+    The recursion runs on the integer N = D * A, whose coefficients are
+    integers, so each -tr / k divides exactly; A's coefficient of x^(n-k)
+    is N's over D^k.
+    """
     n, m = mat_shape(A)
     if n != m:
         raise ValueError("square matrix required")
-    cs = [Fraction(1)]  # leading coefficient of x^n
-    Mk = identity(n)
+    N, D = _integer_form(A)
+    cs, NM = [1], N  # NM = N * M_(k-1), M_0 = I
     for k in range(1, n + 1):
-        AM = mat_mul(A, Mk)
-        tr = sum(AM[i][i] for i in range(n))
-        ck = -tr / k
+        ck = -sum(NM[i][i] for i in range(n)) // k
         cs.append(ck)
-        Mk = tuple(
-            tuple(AM[i][j] + (ck if i == j else 0) for j in range(n)) for i in range(n)
-        )
+        if k < n:
+            Mk = [[x + (ck if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(NM)]
+            NM = _product(N, Mk)
     # cs holds [1, c1, ..., cn] for x^n + c1 x^{n-1} + ... + cn
-    return list(reversed(cs))
-
-
-def _bareiss_step(X: List[List[int]], rest, k: int, c: int, prev: int) -> None:
-    """Fraction-free elimination of the rows and columns in rest by pivot
-    X[k][c]: each new entry is a minor, so division by prev is exact."""
-    d, pivot_row = X[k][c], X[k]
-    for i in rest:
-        row, f = X[i], X[i][c]
-        for j in rest:
-            row[j] = (d * row[j] - f * pivot_row[j]) // prev
-
-
-def determinant(M: Matrix) -> Fraction:
-    """Bareiss elimination of M with each row scaled by its lcm denominator."""
-    scales = [math.lcm(*(x.denominator for x in row)) for row in M]
-    X = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(M, scales)]
-    n, sign, prev = len(X), 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if X[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            X[c], X[pivot] = X[pivot], X[c]
-            sign = -sign
-        _bareiss_step(X, range(c + 1, n), c, c, prev)
-        prev = X[c][c]
-    return Fraction(sign * prev, math.prod(scales))
-
-
-def _modulus_squared_poly(p: Poly) -> Poly:
-    """Polynomial (in y) whose real roots include all |z_i|^2 for roots z_i of p.
-
-    Built as the resultant Res_x(p(x), x^d p(y/x)), computed by evaluating
-    Sylvester determinants at integer points and Lagrange-interpolating.
-    Zero roots of p must be deflated by the caller.
-    """
-    p = poly_trim(list(p))
-    d = len(p) - 1
-    if d == 0:
-        return [Fraction(1)]
-
-    def sylvester_det_at(y: Fraction) -> Fraction:
-        # q_y(x) = sum_i p_i y^i x^{d-i}; ascending in x: coeff of x^j is
-        # p_{d-j} y^{d-j}
-        q = [p[d - j] * y ** (d - j) for j in range(d + 1)]
-        # d shifted rows of each, coefficients in descending order
-        rows = tuple(
-            tuple(c[d - j + i] if 0 <= j - i <= d else Fraction(0) for j in range(2 * d))
-            for c in (p, q) for i in range(d)
-        )
-        return determinant(rows)
-
-    deg = d * d
-    xs = [Fraction(i) for i in range(deg + 1)]
-    ys = [sylvester_det_at(x) for x in xs]
-    # Lagrange interpolation via Newton divided differences
-    coeffs = _newton_interpolate(xs, ys)
-    return poly_trim(coeffs)
-
-
-def _newton_interpolate(xs: List[Fraction], ys: List[Fraction]) -> Poly:
-    n = len(xs)
-    table = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
-    # expand newton form
-    poly: Poly = [Fraction(0)]
-    basis: Poly = [Fraction(1)]
-    for i in range(n):
-        poly = _poly_add(poly, [table[i] * c for c in basis])
-        basis = _poly_mul(basis, [-xs[i], Fraction(1)])
-    return poly
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly_trim(out)
+    return [Fraction(c, D ** k) for k, c in reversed(list(enumerate(cs)))]
 
 
 def spectral_radius_gt_one(M: Matrix) -> bool:
-    """Certified decision: is the spectral radius strictly greater than 1?"""
-    p = charpoly(M)
-    # deflate eigenvalues at 0
-    while p and p[0] == 0:
-        p = p[1:]
-    if len(p) <= 1:
-        return False
-    s = _modulus_squared_poly(p)
-    # deflate roots exactly at 1 (moduli exactly 1 do not exceed the disk)
+    """Certified decision: is the spectral radius strictly greater than 1?
+
+    For real M the eigenvalues of M (x) M are the products z*w of M's
+    eigenvalues, among them every |z|^2 = z * conj(z), and a real z*w > 1
+    needs |z| > 1 or |w| > 1.  So the radius exceeds 1 iff the
+    characteristic polynomial of M (x) M, with its roots at 0 and 1
+    deflated, has a real root above 1, which a Sturm chain counts.
+    """
+    s = charpoly(tuple(tuple(a * b for a in ra for b in rb) for ra in M for rb in M))
+    while s[0] == 0:
+        s = s[1:]
     one = Fraction(1)
-    while poly_eval(s, one) == 0:
-        s, _ = poly_divmod(s, [-one, Fraction(1)])
-        if len(s) <= 1:
-            break
+    while len(s) > 1 and poly_eval(s, one) == 0:
+        s, _ = poly_divmod(s, [-one, one])
     if len(s) <= 1:
         return False
-    chain = sturm_chain(s)
-    bound = cauchy_bound(s) + 1
-    return sturm_count(chain, one, bound) > 0
+    return sturm_count(sturm_chain(s), one, cauchy_bound(s) + 1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +269,16 @@ class DegenerateDirection(RuntimeError):
 def inertia(A: Matrix, x: Fraction) -> Tuple[int, int]:
     """(number of eigenvalues of symmetric A above x, multiplicity of x)."""
     return _inertia(*_integer_form(A), x)
+
+
+def _bareiss_step(X: List[List[int]], rest, k: int, prev: int) -> None:
+    """Fraction-free elimination of the rows and columns in rest by pivot
+    X[k][k]: each new entry is a minor, so division by prev is exact."""
+    d, pivot_row = X[k][k], X[k]
+    for i in rest:
+        row, f = X[i], X[i][k]
+        for j in rest:
+            row[j] = (d * row[j] - f * pivot_row[j]) // prev
 
 
 def _inertia(G: IntMatrix, E: int, x: Fraction) -> Tuple[int, int]:
@@ -397,7 +309,7 @@ def _inertia(G: IntMatrix, E: int, x: Fraction) -> Tuple[int, int]:
         if (d < 0) != (prev < 0):
             above += 1
         rest.remove(k)
-        _bareiss_step(S, rest, k, k, prev)
+        _bareiss_step(S, rest, k, prev)
         prev = d
     return above, len(rest)
 
@@ -711,7 +623,7 @@ def kronecker_order(M) -> Optional[int]:
     if not is_integer_matrix(M):
         raise ValueError("integer matrix required")
     n = mat_shape(M)[0]
-    if determinant(M) == 0:
+    if charpoly(M)[0] == 0:
         return None
     if spectral_radius_gt_one(M):
         return None

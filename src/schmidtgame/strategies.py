@@ -557,48 +557,6 @@ class CenteredAlice:
         return Ball(outer.center, self.alpha * outer.radius), {}
 
 
-class GreedyAlice:
-    """Maximizes realized clearance each round, ignoring the schedule.
-
-    No a-priori guarantee; useful for exploration.  Constraints are gathered
-    for every index whose preimage spacing is comparable to the current ball.
-    """
-
-    def __init__(self, seq, targets, support, alpha, c: Fraction, horizon: int = 40):
-        self.seq = seq
-        self.targets = targets
-        self.support = support
-        self.alpha = frac(alpha)
-        self.c = frac(c)
-        self.horizon = horizon
-
-    def propose(self, transcript, outer: Ball):
-        slabs = []
-        for k in itertools.islice(_indices(self.seq), self.horizon):
-            t = self.seq.t(k)
-            if t.lo * outer.radius > 4 * self.targets.delta:
-                break
-            try:
-                ec = _constraint_for_index(
-                    outer, self.seq, self.targets, self.c, outer.radius, k
-                )
-            except MoreThanOneTarget:
-                # ball still too coarse at this index; nothing to dodge yet
-                continue
-            if ec is not None:
-                slabs.append(ec.cert_slab)
-        if not slabs:
-            return Ball(outer.center, self.alpha * outer.radius), {}
-        cands = candidate_centers(self.support, outer, self.alpha)
-        best = None
-        for u in cands:
-            small = Ball(u, self.alpha * outer.radius)
-            score = min(float(slab_ball_distance(small, s)) for s in slabs)
-            if best is None or score > best[0]:
-                best = (score, u)
-        return Ball(best[1], self.alpha * outer.radius), {"greedy_clearance": best[0]}
-
-
 # ---------------------------------------------------------------------------
 # strong-game wrapper and intersection combinator
 

@@ -47,21 +47,15 @@ class TestPlay:
                 runs.append((path / "transcript.jsonl").read_bytes())
             assert runs[0] == runs[2], name
 
-    def test_greedy_mode(self, tmp_path, capsys):
-        code = main(
-            [
-                "play",
-                "--config",
-                config("pow3_classic.json"),
-                "--mode",
-                "greedy",
-                "--horizon",
-                "10",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+    def test_uncertified_mode_exit_4(self, tmp_path, capsys):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg["strategy"]["mode"] = "greedy"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["play", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: unknown strategy mode 'greedy'")
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_alpha_exit_3(self, tmp_path, capsys):
         cfg = json.loads(open(config("pow3_classic.json")).read())
@@ -117,6 +111,45 @@ class TestPlay:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "not an integer: 'abc'" in err
             assert len(err.strip().splitlines()) == 1
+
+
+class TestUsage:
+    """argparse's usage errors exit 4, like config errors; 2 means lost."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["play"], "the following arguments are required: --config"),
+            (["play", "--config", "c.json", "--mode", "greedy"], "unrecognized arguments: --mode"),
+            (["bogus"], "invalid choice: 'bogus'"),
+        ],
+        ids=["missing_config", "unknown_flag", "bad_choice"],
+    )
+    def test_usage_error_exit_4(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: schmidtgame") and "error: " in err and message in err
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("play", ["--config", "--seed", "--out", "--epochs"]),
+            ("verify", ["--config", "--epochs"]),
+            ("analyze-seq", ["--config", "--horizon", "--jordan"]),
+            ("estimate-decay", ["--config", "--seed", "--trials"]),
+            ("badapprox", ["--config"]),
+        ],
+    )
+    def test_only_options_read(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        flags = {"--config", "--seed", "--out", "--mode", "--epochs", "--horizon",
+                 "--jordan", "--trials"}
+        assert {f for f in flags if f in out} == set(options)
 
 
 class TestVerify:
@@ -409,6 +442,23 @@ class TestEstimateDecay:
         )
         out = json.loads(capsys.readouterr().out)
         assert 0.4 < out["gamma_hat"] < 0.9
+
+    def test_too_few_trials_exit_4(self, capsys):
+        argv = ["estimate-decay", "--config", config("cantor_pow2.json"), "--trials", "5"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: estimate-decay: insufficient samples"]
+
+    def test_2d_ifs_exit_4(self, tmp_path, capsys):
+        cfg = json.loads(open(config("cantor_pow2.json")).read())
+        cfg["support"].update(
+            dim=2, translations=[["0", "0"], ["2/3", "0"]], box_lo=["0", "0"], box_hi=["1", "1"]
+        )
+        bad = tmp_path / "ifs2.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["estimate-decay", "--config", str(bad)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: estimate-decay: decay estimation implemented for 1-D IFS"]
 
 
 class TestBadapproxCmd:

@@ -17,7 +17,6 @@ from schmidtgame.matseq import (
     analyze_lacunarity,
     cauchy_bound,
     charpoly,
-    determinant,
     identity,
     invariant_hyperplane_family,
     jordan_dominance_check,
@@ -31,6 +30,7 @@ from schmidtgame.matseq import (
     operator_norm,
     poly_divmod,
     poly_eval,
+    poly_trim,
     rref,
     spectral_radius_gt_one,
     sturm_chain,
@@ -41,6 +41,10 @@ from schmidtgame.matseq import (
 ROTATION_90 = ((F(0), F(-1)), (F(1), F(0)))
 UNIPOTENT = ((F(1), F(1)), (F(0), F(1)))
 
+
+def det(M):
+    """det(M) = (-1)^n p(0) for the characteristic polynomial p of M."""
+    return (-1) ** len(M) * charpoly(M)[0]
 
 
 def solve_square(A, b):
@@ -58,8 +62,8 @@ class TestExactLinearAlgebra:
         assert charpoly(((F(2), F(1)), (F(1), F(1)))) == [F(1), F(-3), F(1)]
 
     def test_determinant(self):
-        assert determinant(((F(2), F(1)), (F(1), F(1)))) == F(1)
-        assert determinant(ROTATION_90) == F(1)
+        assert det(((F(2), F(1)), (F(1), F(1)))) == F(1)
+        assert det(ROTATION_90) == F(1)
 
     def test_kernel_basis(self):
         M = ((F(1), F(2)), (F(2), F(4)))
@@ -222,7 +226,7 @@ class TestLazyDirection:
         rng = random.Random(seed)
         for _ in range(3):
             M = ((F(0),) * 3,) * 3
-            while determinant(M) == 0:
+            while det(M) == 0:
                 M = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3))
             seq = MatrixSequence.powers(M)
             for k in range(1, 21):
@@ -458,7 +462,7 @@ def _random_base(rng, n, den):
             tuple(F(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n))
             for _ in range(n)
         )
-        if determinant(M) != 0:
+        if det(M) != 0:
             return M
 
 
@@ -571,7 +575,7 @@ class TestIntegerKernel:
                 tuple(F(rng.choice((0, rng.randint(-5, 5))), rng.randint(1, 6)) for _ in range(n))
                 for _ in range(n)
             )
-            assert determinant(M) == leibniz(M)
+            assert det(M) == leibniz(M)
 
     def test_powers_stay_in_integers(self, monkeypatch):
         # t(k) never builds a Fraction matrix product, and the elimination
@@ -580,11 +584,11 @@ class TestIntegerKernel:
         steps = []
         real = matseq._bareiss_step
 
-        def checked(X, rest, k, c, prev):
+        def checked(X, rest, k, prev):
             assert type(prev) is int
             assert all(type(e) is int for row in X for e in row)
             steps.append(k)
-            return real(X, rest, k, c, prev)
+            return real(X, rest, k, prev)
 
         monkeypatch.setattr(matseq, "_bareiss_step", checked)
         seq = MatrixSequence.powers(DENSE)
@@ -592,6 +596,160 @@ class TestIntegerKernel:
             seq.t(k)
         assert products == []
         assert steps
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: charpoly and the spectral test as they ran before the
+# integer Faddeev-LeVerrier and the Kronecker square, through the resultant
+# Res_x(p(x), x^d p(y/x)) of Sylvester determinants and Newton interpolation
+
+
+def _reference_charpoly(A):
+    n = len(A)
+    cs, Mk = [F(1)], identity(n)
+    for k in range(1, n + 1):
+        AM = mat_mul(A, Mk)
+        ck = -sum(AM[i][i] for i in range(n)) / k
+        cs.append(ck)
+        Mk = tuple(tuple(AM[i][j] + (ck if i == j else 0) for j in range(n)) for i in range(n))
+    return list(reversed(cs))
+
+
+def _reference_determinant(M):
+    """Bareiss elimination of M with each row scaled by its lcm denominator."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in M]
+    X = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(M, scales)]
+    n, sign, prev = len(X), 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if X[i][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            X[c], X[pivot] = X[pivot], X[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                X[i][j] = (X[c][c] * X[i][j] - X[i][c] * X[c][j]) // prev
+        prev = X[c][c]
+    return F(sign * prev, math.prod(scales))
+
+
+def _reference_poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _reference_modulus_squared_poly(p):
+    """Res_x(p(x), x^d p(y/x)) for p without zero roots: its real roots
+    include every |z|^2 over the roots z of p."""
+    d = len(p) - 1
+
+    def sylvester_det_at(y):
+        q = [p[d - j] * y ** (d - j) for j in range(d + 1)]
+        rows = tuple(
+            tuple(c[d - j + i] if 0 <= j - i <= d else F(0) for j in range(2 * d))
+            for c in (p, q) for i in range(d)
+        )
+        return _reference_determinant(rows)
+
+    xs = [F(i) for i in range(d * d + 1)]
+    table = [sylvester_det_at(x) for x in xs]
+    # Newton divided differences, then the Newton form expanded
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
+    poly, basis = [F(0)] * len(xs), [F(1)]
+    for x, c in zip(xs, table):
+        for i, b in enumerate(basis):
+            poly[i] += c * b
+        basis = _reference_poly_mul(basis, [-x, F(1)])
+    return poly_trim(poly)
+
+
+def _reference_spectral_radius_gt_one(M):
+    p = _reference_charpoly(M)
+    while p and p[0] == 0:
+        p = p[1:]
+    if len(p) <= 1:
+        return False
+    s = _reference_modulus_squared_poly(p)
+    one = F(1)
+    while poly_eval(s, one) == 0:
+        s, _ = poly_divmod(s, [-one, F(1)])
+        if len(s) <= 1:
+            break
+    if len(s) <= 1:
+        return False
+    return sturm_count(sturm_chain(s), one, cauchy_bound(s) + 1) > 0
+
+
+def _kronecker_square(M):
+    return tuple(tuple(a * b for a in ra for b in rb) for ra in M for rb in M)
+
+
+# (matrix, spectral radius > 1): a rational rotation, a rotation and a
+# unipotent in 3-D, a Jordan block at -1, a nilpotent, and diag(2, 1/2)
+SPECTRAL_CONTROLS = [
+    (((F(3, 5), F(-4, 5)), (F(4, 5), F(3, 5))), False),
+    (((F(0), F(-1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(1))), False),
+    (((F(1), F(1), F(0)), (F(0), F(1), F(1)), (F(0), F(0), F(1))), False),
+    (((F(-1), F(1), F(0)), (F(0), F(-1), F(1)), (F(0), F(0), F(-1))), False),
+    (((F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(0), F(0), F(0))), False),
+    (((F(2), F(0)), (F(0), F(1, 2))), True),
+]
+
+
+def _spectral_cases(seed, count=800):
+    """n x n matrices, n = 1..4 (mostly small), with entries p/q, |p| <= 1,
+    2 or 3 and q <= 1, 2, 3 or 5: expanding, non-expanding and singular."""
+    rng = random.Random(f"spectral:{seed}")
+    cases = []
+    for _ in range(count):
+        n = rng.choice((1, 2, 2, 2, 3, 3, 3, 4))
+        p, q = rng.choice((1, 2, 3)), rng.choice((1, 1, 2, 3, 5))
+        cases.append(tuple(
+            tuple(F(rng.randint(-p, p), rng.randint(1, q)) for _ in range(n)) for _ in range(n)
+        ))
+    return cases
+
+
+class TestSpectralAgainstResultant:
+    """charpoly and spectral_radius_gt_one against the Fraction references
+    they replaced."""
+
+    def test_controls(self):
+        for M, expanding in SPECTRAL_CONTROLS:
+            assert spectral_radius_gt_one(M) is expanding, M
+            assert _reference_spectral_radius_gt_one(M) is expanding, M
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_matches_fraction_reference(self, seed):
+        seen = []
+        for M in _spectral_cases(seed) + [M for M, _ in SPECTRAL_CONTROLS]:
+            assert charpoly(M) == _reference_charpoly(M), M
+            got = spectral_radius_gt_one(M)
+            assert got == _reference_spectral_radius_gt_one(M), M
+            seen.append((len(M), any(x.denominator > 1 for row in M for x in row), got))
+        # every size, integer and rational entries, both answers
+        assert {n for n, _, _ in seen} == {1, 2, 3, 4}
+        assert {(r, g) for _, r, g in seen} == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_kronecker_square_is_the_resultant(self, seed):
+        # with its roots at 0 removed, charpoly(M (x) M) is the resultant up
+        # to a constant factor
+        for M in _spectral_cases(seed, 200) + [M for M, _ in SPECTRAL_CONTROLS]:
+            s = charpoly(_kronecker_square(M))
+            while s[0] == 0:
+                s = s[1:]
+            p = _reference_charpoly(M)
+            while p[0] == 0 and len(p) > 1:
+                p = p[1:]
+            res = _reference_modulus_squared_poly(p)
+            assert [c * res[-1] for c in s] == res, M
 
 
 class TestMatrixSequence:
