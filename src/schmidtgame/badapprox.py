@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .exact import Interval, frac, pow_interval, sqrt_interval
-from .geometry import Ball, as_vec
+from .geometry import Ball, as_vec, over_common_den
 from .matseq import LacunarityReport, MatrixSequence, analyze_lacunarity
 from .targets import TargetFamily
 
@@ -114,9 +114,7 @@ class AlgebraicReal:
         """
         if self.hi - self.lo <= max_width:
             return
-        d = math.lcm(self.lo.denominator, self.hi.denominator)
-        lo_n = self.lo.numerator * (d // self.lo.denominator)
-        hi_n = self.hi.numerator * (d // self.hi.denominator)
+        (lo_n, hi_n), d = over_common_den((self.lo, self.hi))
         # width (hi_n - lo_n)/d > max_width = wn/wd, cross-multiplied
         wn, wd = max_width.numerator, max_width.denominator
         while (hi_n - lo_n) * wd > wn * d:

@@ -176,8 +176,8 @@ def _build_affine(cfg: Dict) -> ba.AffineSystem:
 
 
 def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
-    """certified_game's arguments, parsed once for play and verify; a
-    positive `epochs` (--epochs) overrides the config's."""
+    """certified_game's arguments, parsed once for play and verify; `epochs`
+    (--epochs) overrides the config's unless it is None."""
     mode = _strategy(cfg).get("mode", "certified")
     if mode != "certified":
         raise ConfigError(f"unknown strategy mode {mode!r}: only 'certified' games are played")
@@ -191,6 +191,9 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
     radius = _num(game["radius"])
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {format_frac(radius)}")
+    epochs = _int(game.get("epochs", 1)) if epochs is None else epochs
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     center = _vec(game["center"])
     if len(center) != support.dim:
         raise ConfigError(
@@ -200,7 +203,7 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
         support=support, seq=_build_sequence(cfg["sequence"]),
         targets=_build_targets(cfg["targets"]), alpha=alpha, beta=beta,
         variant=variant, radius=radius, center=center, Q=_num(cfg.get("Q", 2)),
-        epochs=epochs or _int(game.get("epochs", 1)),
+        epochs=epochs,
     )
 
 

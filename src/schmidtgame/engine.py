@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from .exact import format_frac, frac, sqrt_interval
 from .geometry import Ball, Vec, as_vec, schmidt_leq
-from .matseq import MatrixSequence, mat_vec
+from .matseq import MatrixSequence
 from .supports import SupportModel
 from .targets import TargetFamily, dist2_to_targets
 
@@ -180,19 +180,18 @@ def limit_margin(
     if t.final_enclosure is None:
         raise ValueError("transcript incomplete")
     ball = t.final_enclosure
-    best: Optional[Fraction] = None
+    rn, rd = ball.radius.as_integer_ratio()
+    best: Optional[Tuple[int, int]] = None  # least margin so far, as (num, den)
     for k in range(1, k_max + 1):
-        p = mat_vec(seq.matrix(k), ball.center)
-        d2 = dist2_to_targets(targets, k, p)
+        d2 = dist2_to_targets(targets, k, seq.image(k, ball.center))
         if d2 is None:
             continue
-        d_lo = sqrt_interval(d2).lo
-        m = d_lo - seq.t(k).hi * ball.radius
-        m = max(Fraction(0), m)
-        best = m if best is None else min(best, m)
-    if best is None:
-        return INF_MARGIN
-    return best
+        (dn, dd), (tn, td) = sqrt_interval(d2).lo.as_integer_ratio(), seq.t(k).hi.as_integer_ratio()
+        # d_lo - t_hi * radius = (dn td rd - tn rn dd) / (dd td rd), clamped at 0
+        num, den = max(0, dn * td * rd - tn * rn * dd), dd * td * rd
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den
+    return INF_MARGIN if best is None else Fraction(*best)
 
 
 # ---------------------------------------------------------------------------

@@ -21,21 +21,17 @@ DEFAULT_REL_BITS = 64
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, 'p/q' strings and floats (exact dyadics) to a Fraction;
+    a Fraction is returned as it is, not re-normalised."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # floats are accepted only as exactly-representable dyadics
+    if isinstance(x, (int, str, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def format_frac(q: Fraction) -> str:
-    q = Fraction(q)
+    q = frac(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -73,7 +69,7 @@ class Interval:
 
     @staticmethod
     def point(x: RatLike) -> "Interval":
-        x = Fraction(x)
+        x = frac(x)
         return Interval(x, x)
 
     @property
@@ -149,17 +145,15 @@ class Interval:
 def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
         return x
-    return Interval.point(Fraction(x))
+    return Interval.point(x)
 
 
 def sqrt_interval(q: RatLike, rel_bits: int = DEFAULT_REL_BITS) -> Interval:
-    """Certified enclosure of sqrt(q); exact (a point) for perfect squares."""
-    q = Fraction(q)
-    if q < 0:
+    """Certified enclosure of sqrt(q), read off q in lowest terms; exact (a
+    point) for perfect squares, 0 among them."""
+    n, d = frac(q).as_integer_ratio()
+    if n < 0:
         raise ValueError("sqrt of negative rational")
-    if q == 0:
-        return Interval.point(0)
-    n, d = q.numerator, q.denominator
     nd = n * d
     r = math.isqrt(nd)
     if r * r == nd:

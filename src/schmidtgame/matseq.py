@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import Interval, frac, sqrt_interval
-from .geometry import Vec, norm2
+from .geometry import Vec, dot, norm2, over_common_den
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -61,12 +61,13 @@ def _product(A, B):
 
 def _integer_form(M: Matrix) -> Tuple[IntMatrix, int]:
     """(N, D): integer N with M = N / D, D the lcm of M's denominators."""
-    D = math.lcm(*(x.denominator for row in M for x in row))
-    return tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in M), D
+    flat, D = over_common_den([x for row in M for x in row])
+    m = len(M[0])
+    return tuple(flat[i:i + m] for i in range(0, len(flat), m)), D
 
 
 def mat_vec(A: Matrix, x: Vec) -> Vec:
-    return tuple(sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in A)
+    return tuple(dot(row, x) for row in A)
 
 
 def transpose(M: Matrix) -> Matrix:
@@ -95,10 +96,6 @@ def mat_pow(M: Matrix, k: int) -> Matrix:
         base = mat_mul(base, base)
         k >>= 1
     return result
-
-
-def is_integer_matrix(M: Matrix) -> bool:
-    return all(x.denominator == 1 for row in M for x in row)
 
 
 def rref(M: Matrix) -> Tuple[Matrix, List[int]]:
@@ -521,6 +518,11 @@ class MatrixSequence:
             self._pow_cache.append((_product(P, N), E * D))
         return self._pow_cache[k - 1]
 
+    def image(self, k: int, x: Vec) -> Vec:
+        """M_k x from the cached integer pair, one Fraction per coordinate."""
+        (N, D), (X, Dx) = self._integer(k), over_common_den(x)
+        return tuple(Fraction(sum(map(mul, row, X)), D * Dx) for row in N)
+
     def t(self, k: int) -> Interval:
         """||M_k||_op, certified; the top direction is not computed."""
         if k not in self._t_cache:
@@ -620,7 +622,7 @@ def kronecker_order(M) -> Optional[int]:
     """Least N >= 1 with M^N unipotent, for nonsingular integer M with all
     eigenvalue moduli <= 1; None when the precondition fails."""
     M = as_matrix(M)
-    if not is_integer_matrix(M):
+    if any(x.denominator != 1 for row in M for x in row):
         raise ValueError("integer matrix required")
     n = mat_shape(M)[0]
     if charpoly(M)[0] == 0:

@@ -27,13 +27,14 @@ from .geometry import (
     Vec,
     dist2,
     dot,
+    gap2,
     norm2,
+    over_common_den,
     schmidt_leq,
     slab_ball_distance,
     slab_distance_exceeds,
     vadd,
-    vscale,
-    vsub,
+    within,
 )
 from .matseq import MatrixSequence, kernel_basis, mat_mul, mat_vec, rref, transpose
 from .supports import (
@@ -343,10 +344,8 @@ def _constraint_for_index(
     k: int,
 ) -> Optional[EpochConstraint]:
     t = seq.t(k)
-    M = seq.matrix(k)
-    img = mat_vec(M, ball.center)
     reach = c + t.hi * ball.radius
-    ys = points_near(targets, k, img, reach)
+    ys = points_near(targets, k, seq.image(k, ball.center), reach)
     if len(ys) > 1:
         raise MoreThanOneTarget(
             f"{len(ys)} targets within {float(reach):.3g} at index {k}"
@@ -354,18 +353,19 @@ def _constraint_for_index(
     if not ys:
         return None
     y = ys[0]
-    xstar = _preimage_min_norm(M, y)
+    xstar = _preimage_min_norm(seq.matrix(k), y)
     if xstar is None:
         return None
-    resid2 = dist2(mat_vec(M, xstar), y)
+    resid2 = dist2(seq.image(k, xstar), y)
     if resid2 > c * c:
         return None  # the c-neighborhood of y misses the range of M entirely
     # |v.(x - x*)| <= (c + residual)/t for every x with ||Mx - y|| <= c
     base = (c + sqrt_interval(resid2).hi) / t.lo
-    v = seq.v(k)
-    vm = tuple(iv.mid for iv in v)
-    err2 = sum(((iv.hi - iv.lo) / 2) ** 2 for iv in v)
-    e_hi = sqrt_interval(err2).hi
+    # v's enclosure over one denominator: its midpoint and half-width norm
+    ends, D = over_common_den([e for iv in seq.v(k) for e in (iv.lo, iv.hi)])
+    vm = tuple(Fraction(a + b, 2 * D) for a, b in zip(ends[::2], ends[1::2]))
+    err2 = sum((b - a) ** 2 for a, b in zip(ends[::2], ends[1::2]))
+    e_hi = sqrt_interval(Fraction(err2, 4 * D * D)).hi
     R = sqrt_interval(dist2(ball.center, xstar)).hi + ball.radius
     nrm_lo = sqrt_interval(norm2(vm)).lo
     if nrm_lo <= 0:
@@ -545,16 +545,6 @@ class Theorem42Alice:
                 )
             ann["certificates"] = certs
         return ball, ann
-
-
-class CenteredAlice:
-    """Keeps the center, shrinking at the required rate."""
-
-    def __init__(self, alpha: Fraction):
-        self.alpha = frac(alpha)
-
-    def propose(self, transcript, outer: Ball):
-        return Ball(outer.center, self.alpha * outer.radius), {}
 
 
 # ---------------------------------------------------------------------------
@@ -793,13 +783,12 @@ class ChaseBob:
 
     def _nearest_preimage(self, k: int, center: Vec, rho: Fraction) -> Optional[Vec]:
         t = self.seq.t(k)
-        M = self.seq.matrix(k)
-        img = mat_vec(M, center)
+        img = self.seq.image(k, center)
         reach = t.hi * rho * 4 + self.targets.delta
         best = nearest_point(self.targets, k, img)
-        if best is None or dist2(best, img) > reach * reach:
+        if best is None or not within(gap2(best, img), reach * reach):
             return None
-        return _preimage_min_norm(M, best)
+        return _preimage_min_norm(self.seq.matrix(k), best)
 
     def propose(self, transcript, outer: Ball):
         rho = outer.radius
@@ -827,8 +816,7 @@ class ChaseBob:
             return Ball(p, rad), {"chase": self.k_target, "reached": True}
         inv = sqrt_interval(d2).hi
         tstep = step / inv  # <= step/||p-c||, keeps the move legal
-        newc = vadd(c, vscale(tstep, vsub(p, c)))
-        ball = Ball(newc, rad)
+        ball = Ball(tuple(ci + tstep * (pi - ci) for ci, pi in zip(c, p)), rad)
         if not schmidt_leq(ball, outer):  # numerical safety net, exact check
             ball = Ball(c, rad)
         return ball, {"chase": self.k_target}

@@ -21,7 +21,9 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import frac, pow_interval, sqrt_upper
-from .geometry import Ball, Vec, as_vec, dist2, schmidt_leq, vadd, vscale
+from .geometry import (
+    Ball, Vec, as_vec, dist2, frame_gap2, over_common_den, schmidt_leq, vadd, vscale, within,
+)
 
 _MAX_ALPHA_REL = Fraction(1, 10 ** 7)
 
@@ -99,17 +101,6 @@ class Similarity:
 
     def apply(self, x: Vec) -> Vec:
         return vadd(vscale(self.ratio, x), self.translation)
-
-
-def _over_common_den(x: Vec) -> Tuple[Tuple[int, ...], int]:
-    """(X, D) with x = X / D and D the lcm of the denominators of x."""
-    D = math.lcm(*(xi.denominator for xi in x))
-    return tuple(xi.numerator * (D // xi.denominator) for xi in x), D
-
-
-def _within(gap: Tuple[int, int], r2: Fraction) -> bool:
-    """gap = (g, s) stands for the squared distance g / s; is it <= r2?"""
-    return gap[0] * r2.denominator <= r2.numerator * gap[1]
 
 
 class _Cell(NamedTuple):
@@ -191,12 +182,6 @@ class _IntegerIFS:
         S = cell.scale
         P = tuple(S * t + q * u for t, u in zip(self.tau[0], cell.shift))
         return P, q * self.power(len(cell.word))
-
-    def point_gap2(self, cell: _Cell, X: Tuple[int, ...], D: int) -> Tuple[int, int]:
-        """Squared distance from the cell's point to X / D, as (g, s)."""
-        P, Dp = self.point(cell)
-        g = sum((pi * D - x * Dp) ** 2 for pi, x in zip(P, X))
-        return g, (Dp * D) ** 2
 
 
 @dataclass
@@ -316,7 +301,7 @@ class SupportModel:
         resume = prev is not None and mesh <= prev[1] and schmidt_leq(ball, prev[0])
         stack = list(reversed(prev[2])) if resume else [self.root_cell()]
         ints = self._ints
-        X, D = _over_common_den(ball.center)
+        X, D = over_common_den(ball.center)
         r2 = ball.radius * ball.radius
         diam2 = dist2(self.box_lo, self.box_hi)
         wide = diam2.numerator * mesh.denominator ** 2
@@ -325,7 +310,7 @@ class SupportModel:
         out: List[_Cell] = []
         while stack:
             cell = stack.pop()
-            if not _within(ints.box_gap2(cell, X, D), r2):
+            if not within(ints.box_gap2(cell, X, D), r2):
                 continue
             if cell.scale ** 2 * wide <= fine * ints.power(2 * len(cell.word)):
                 out.append(cell)
@@ -350,7 +335,7 @@ class SupportModel:
                 if best_g is None or g < best_g:
                     best, best_g = child, g
             cell = best
-            if best_g == 0 and ints.point_gap2(cell, X, D)[0] == 0:
+            if best_g == 0 and frame_gap2(ints.point(cell), (X, D))[0] == 0:
                 break
         return cell
 
@@ -377,7 +362,7 @@ class SupportModel:
         ints = self._ints
         L, lo, hi = ints.L, ints.lo, ints.hi
         inverses = list(zip(ints.p, ints.tau))
-        stack = [(*_over_common_den(x), 0)]
+        stack = [(*over_common_den(x), 0)]
         while stack:
             Y, Dy, depth = stack.pop()
             if any(
@@ -457,14 +442,14 @@ def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]
     # representative each, pushed toward the ball center until it lands
     # inside the shrunken ball.
     ints = K._ints
-    X, D = _over_common_den(ball.center)
+    X, D = over_common_den(ball.center)
     out = []
     for cell in K.cells_meeting_ball(ball, mesh):
-        if not _within(ints.box_gap2(cell, X, D), reach2):
+        if not within(ints.box_gap2(cell, X, D), reach2):
             continue
-        if not _within(ints.point_gap2(cell, X, D), reach2):
+        if not within(frame_gap2(ints.point(cell), (X, D)), reach2):
             cell = K._descend_toward(cell, X, D, 64)
-            if not _within(ints.point_gap2(cell, X, D), reach2):
+            if not within(frame_gap2(ints.point(cell), (X, D)), reach2):
                 continue
         out.append(K.point(cell))
     out = sorted(set(out))

@@ -8,14 +8,12 @@ approximable forms), and explicit per-index finite point lists.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .geometry import Vec, as_vec, dist2
-
-_HALF = Fraction(1, 2)
+from .exact import frac
+from .geometry import Vec, as_vec, dist2, gap2, over_common_den, within
 
 
 @dataclass
@@ -74,25 +72,26 @@ class TargetFamily:
 def points_near(family: TargetFamily, k: int, center, radius: Fraction) -> List[Vec]:
     """Exactly the points of Z_k within distance `radius` of `center`."""
     center = as_vec(center)
-    radius = Fraction(radius)
+    radius = frac(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    r2 = radius * radius
     if family.kind == "lattice":
+        # center - y = W / Dw, and z_i runs from ceil(W_i / Dw - r) to
+        # floor(W_i / Dw + r); the product of the ranges comes out sorted
         y = family.base(k)
-        ranges = []
-        for ci, yi in zip(center, y):
-            lo = math.ceil(ci - yi - radius)
-            hi = math.floor(ci - yi + radius)
-            ranges.append(range(lo, hi + 1))
-        out = []
-        for z in itertools.product(*ranges):
-            p = tuple(yi + zi for yi, zi in zip(y, z))
-            if dist2(p, center) <= r2:
-                out.append(p)
-        return sorted(out)
+        (C, Dc), (Y, Dy) = over_common_den(center), over_common_den(y)
+        Dw, (rn, rd) = Dc * Dy, radius.as_integer_ratio()
+        W = [c * Dy - v * Dc for c, v in zip(C, Y)]
+        reach, step = rn * Dw, rd * Dw
+        ranges = [range(-((reach - w * rd) // step), (w * rd + reach) // step + 1) for w in W]
+        return [
+            tuple(yi + zi for yi, zi in zip(y, z))
+            for z in itertools.product(*ranges)
+            if sum((w - zi * Dw) ** 2 for w, zi in zip(W, z)) * rd * rd <= reach * reach
+        ]
+    r2 = radius * radius
     pts = (family._points or {}).get(k, [])
-    return sorted(p for p in pts if dist2(p, center) <= r2)
+    return sorted(p for p in pts if within(gap2(p, center), r2))
 
 
 def nearest_point(family: TargetFamily, k: int, p) -> Optional[Vec]:
@@ -102,12 +101,15 @@ def nearest_point(family: TargetFamily, k: int, p) -> Optional[Vec]:
     On a lattice translate y + Z^m each coordinate rounds on its own to
     y_i + ceil(p_i - y_i - 1/2), which takes the smaller of two equally
     near integers; the lexicographic minimum of the product of the
-    per-coordinate minimisers is that choice in every coordinate.
+    per-coordinate minimisers is that choice in every coordinate.  With
+    p_i - y_i = a_i / D that is y_i - floor((D - 2 a_i) / 2D).
     """
     p = as_vec(p)
     if family.kind == "lattice":
         y = family.base(k)
-        return tuple(yi + math.ceil(pi - yi - _HALF) for pi, yi in zip(p, y))
+        (P, Dp), (Y, Dy) = over_common_den(p), over_common_den(y)
+        D = Dp * Dy
+        return tuple(yi - (D - 2 * (a * Dy - b * Dp)) // (2 * D) for yi, a, b in zip(y, P, Y))
     pts = (family._points or {}).get(k, [])
     if not pts:
         return None

@@ -113,6 +113,15 @@ class TestPlay:
             assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_nonpositive_epochs_exit_4(self, tmp_path, capsys, epochs):
+        argv = ["play", "--config", config("pow3_classic.json"), "--epochs", epochs]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: epochs must be >= 1, got {epochs}"]
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 class TestUsage:
     """argparse's usage errors exit 4, like config errors; 2 means lost."""
 
@@ -227,6 +236,14 @@ class TestVerifyAgainstConfig:
         argv = ["verify", str(played), "--config", str(other), "--epochs", "1"]
         assert main(argv) == 2
         assert capsys.readouterr().out.splitlines()[0] == "replay: FAIL"
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_nonpositive_epochs_exit_4(self, played, capsys, epochs):
+        argv = ["verify", str(played), "--config", config("pow3_classic.json")]
+        assert main(argv + ["--epochs", epochs]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: epochs must be >= 1, got {epochs}"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("keep", [-1, 0], ids=["no_summary", "empty"])
     def test_truncated_fails_replay(self, played, capsys, keep):
@@ -408,6 +425,84 @@ GOLDEN = {
 }
 
 
+# the same two hashes for variants of the shipped configs at seed 3:
+# name -> (shipped config, edits per config section, hashes)
+GOLDEN_VARIANTS = {
+    "pow3_classic-random": (
+        "pow3_classic",
+        {"strategy": {"bob": "random"}},
+        (
+            "09b6640072f55747bc270e4f944cbf7cf4e8c7a89f5428d9906502f76c59f232",
+            "c326823d18055e811acd45070b114025e002aa77c73189e2cced71dcd38dedff",
+        ),
+    ),
+    "dim2_classic-random": (
+        "dim2_classic",
+        {"strategy": {"bob": "random"}},
+        (
+            "fe87eb093178e8fcdd49c80680a0c7249e07248955843f88a250770a3cc9b32e",
+            "d3c6a58a51028550008c1264c6af4f204761836d31c051e7f53401fc27046518",
+        ),
+    ),
+    "cantor_pow2-random": (
+        "cantor_pow2",
+        {"strategy": {"bob": "random"}},
+        (
+            "9b11bfd256458be97b3f0fbcaef2b9c70a8db52f7d465fe565313c924b031dfa",
+            "7be054f505ab1162771e1bc2781a85c9091320023e98569207ddaed0e680bc9e",
+        ),
+    ),
+    "pow3_classic-chase-337": (
+        "pow3_classic",
+        {"game": {"center": ["337/1000"]}},
+        (
+            "b7910361350e6d64db18b1bbe2dcf6289e54c359679748e9600d7359d84a1dce",
+            "2426f8ed4ee3300a86dae829ef7277abb602aee935f816b3f52a2477af6afb9d",
+        ),
+    ),
+}
+
+# SHA-256 of verify's stdout on the transcript of every pinned game
+GOLDEN_VERIFY = {
+    "cantor_pow2": "5387518a43d2151890bb72621d6f32f731cedbf0cff0010140a0b17bb8983a21",
+    "dim2_classic": "ff1ff0ade4addd4bdba2060a4dc7d39749dc5d014150f989a3f76c4de12bea47",
+    "pow3_classic": "51c1434a8e3346342c39e94bd9f4f495d1f1c38cb7b66c6d0b3bebe18f8dde87",
+    "pow3_strong": "98b3d6d85a5e3a09fc2de03505df5656e85275b72e5f292c813b46739b3316e9",
+    "pow3_classic-random": "5c9a319ff44904c79737c569481015a565959df763a4c274f3423e1556d3a4ca",
+    "dim2_classic-random": "f2a373ae399e992ed709db84498505c3b5aed173ae455837aa71bbd1595dd7e4",
+    "cantor_pow2-random": "2398c590d00f28db3706accbaddb355435f0a7827ff82d0f910860b82fce4f26",
+    "pow3_classic-chase-337": "63b6910c773bbf26a8e14483915291dd5ef03f1e98f9c2d8279c60159c1fdd19",
+}
+
+
+def _pinned_config(tmp_path, name):
+    """The config file of a pinned game: a shipped config or a variant of one."""
+    if name in GOLDEN:
+        return config(f"{name}.json")
+    base, edits, _ = GOLDEN_VARIANTS[name]
+    cfg = json.loads(open(config(f"{base}.json")).read())
+    for section, values in edits.items():
+        cfg[section].update(values)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _play_hashes(tmp_path, cfg):
+    """Play cfg at seed 3 into tmp_path; the hashes of the transcript and of
+    summary.json without wall_time and the transcript path."""
+    argv = ["play", "--config", cfg, "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    transcript = (tmp_path / "transcript.jsonl").read_bytes()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    del summary["wall_time"], summary["transcript"]
+    summary_bytes = json.dumps(summary, sort_keys=True).encode()
+    return (
+        hashlib.sha256(transcript).hexdigest(),
+        hashlib.sha256(summary_bytes).hexdigest(),
+    )
+
+
 class TestGoldenTranscripts:
     """Performance changes must leave every certified output byte-identical."""
 
@@ -424,6 +519,20 @@ class TestGoldenTranscripts:
             hashlib.sha256(summary_bytes).hexdigest(),
         )
         assert got == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VARIANTS))
+    def test_variant_bytes(self, tmp_path, capsys, name):
+        cfg = _pinned_config(tmp_path, name)
+        assert _play_hashes(tmp_path / "out", cfg) == GOLDEN_VARIANTS[name][2]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+    def test_verify_stdout(self, tmp_path, capsys, name):
+        cfg = _pinned_config(tmp_path, name)
+        _play_hashes(tmp_path / "out", cfg)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "out" / "transcript.jsonl"), "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[name]
 
 
 class TestEstimateDecay:

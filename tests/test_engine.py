@@ -1,9 +1,14 @@
 """Game referee: move validation, transcripts, and the limit margin."""
 
+import json
+import math
+import os
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from schmidtgame.cli import _game_inputs, main
 from schmidtgame.engine import (
     INF_MARGIN,
     GameConfig,
@@ -18,11 +23,14 @@ from schmidtgame.engine import (
     save_transcript,
     validate_transcript,
 )
+from schmidtgame.exact import sqrt_interval
 from schmidtgame.geometry import Ball
 from schmidtgame.matseq import MatrixSequence
-from schmidtgame.strategies import CenteredAlice, MaximalBob
+from schmidtgame.strategies import MaximalBob, certified_game
 from schmidtgame.supports import DecayParams, Similarity, SupportModel
 from schmidtgame.targets import TargetFamily
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def line_support():
@@ -47,6 +55,16 @@ def classic_config(max_rounds=5):
         Ball((F(0),), F(1)),
         max_rounds,
     )
+
+
+class CenteredAlice:
+    """Keeps the center, shrinking at the required rate."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+
+    def propose(self, transcript, outer):
+        return Ball(outer.center, self.alpha * outer.radius), {}
 
 
 class CenteredBob:
@@ -220,3 +238,82 @@ class TestLimitMargin:
         t = self._transcript(F(1, 6), F(1, 1000))
         # 3 * 1/6 = 1/2 is a target: margin 0
         assert limit_margin(t, seq, targets, 1) == F(0)
+
+
+# ---------------------------------------------------------------------------
+# limit_margin against the Fraction version it replaced
+
+
+def ref_dist2_to_targets(family, k, p):
+    """Squared distance to Z_k with the Fraction rounding of the lattice."""
+    if family.kind == "lattice":
+        q = tuple(yi + math.ceil(pi - yi - F(1, 2)) for pi, yi in zip(p, family.base(k)))
+    else:
+        pts = (family._points or {}).get(k, [])
+        if not pts:
+            return None
+        q = min(pts, key=lambda z: (sum((a - b) ** 2 for a, b in zip(z, p)), z))
+    return sum(((a - b) ** 2 for a, b in zip(p, q)), F(0))
+
+
+def ref_limit_margin(t, seq, targets, k_max):
+    if k_max == 0:
+        return INF_MARGIN
+    if t.final_enclosure is None:
+        raise ValueError("transcript incomplete")
+    ball = t.final_enclosure
+    best = None
+    for k in range(1, k_max + 1):
+        M = seq.matrix(k)
+        p = tuple(sum((a * b for a, b in zip(row, ball.center)), F(0)) for row in M)
+        d2 = ref_dist2_to_targets(targets, k, p)
+        if d2 is None:
+            continue
+        d_lo = sqrt_interval(d2).lo
+        m = max(F(0), d_lo - seq.t(k).hi * ball.radius)
+        best = m if best is None else min(best, m)
+    return INF_MARGIN if best is None else best
+
+
+def _shipped_game(name):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        return certified_game(**_game_inputs(json.load(fh), None))
+
+
+class TestLimitMarginAgainstReference:
+    @pytest.mark.parametrize("name", ["cantor_pow2", "dim2_classic", "pow3_classic", "pow3_strong"])
+    def test_shipped_transcripts(self, tmp_path, capsys, name):
+        argv = ["play", "--config", os.path.join(CONFIG_DIR, f"{name}.json"), "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        t = load_transcript(str(tmp_path / "transcript.jsonl"))
+        game = _shipped_game(name)
+        got = limit_margin(t, game.seq, game.targets, game.k_max)
+        assert got == ref_limit_margin(t, game.seq, game.targets, game.k_max)
+        assert got == F(json.loads((tmp_path / "summary.json").read_text())["realized_margin"])
+
+    @pytest.mark.parametrize("name", ["pow3_classic", "dim2_classic"])
+    def test_seeded_balls(self, name):
+        game = _shipped_game(name)
+        rng = random.Random(f"limit_margin:{name}")
+        n, clamped = game.config.initial_ball.dim, 0
+        for _ in range(60):
+            den = rng.choice((1000, 3 ** 30, 2 ** 90, 7 ** 50))
+            center = tuple(F(rng.randint(-2 * den, 2 * den), den) for _ in range(n))
+            radius = F(1, rng.choice((10, 10 ** 6, 3 ** 40, 2 ** 120)))
+            t = GameTranscript(config_digest={})
+            t.final_enclosure = Ball(center, radius)
+            for k_max in (1, 5, game.k_max):
+                got = limit_margin(t, game.seq, game.targets, k_max)
+                assert got == ref_limit_margin(t, game.seq, game.targets, k_max)
+                clamped += got == 0
+        # both the clamp at 0 and positive margins occur
+        assert 0 < clamped < 180
+
+    def test_exact_target_hits(self):
+        # a center whose images land on targets: d_lo = 0 at those k
+        game = _shipped_game("pow3_classic")
+        for center in (F(1, 6), F(1, 18), F(-5, 6), F(1, 2 * 3 ** 20)):
+            t = GameTranscript(config_digest={})
+            t.final_enclosure = Ball((center,), F(1, 3 ** 30))
+            assert limit_margin(t, game.seq, game.targets, game.k_max) == 0
+            assert ref_limit_margin(t, game.seq, game.targets, game.k_max) == 0
