@@ -35,6 +35,7 @@ from .matseq import (
     MatrixSequence,
     analyze_lacunarity,
     jordan_dominance_check,
+    mat_shape,
 )
 from .strategies import (
     CertificateError,
@@ -199,9 +200,15 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
         raise ConfigError(
             f"center has dimension {len(center)} but the support has dimension {support.dim}"
         )
+    seq, targets = _build_sequence(cfg["sequence"]), _build_targets(cfg["targets"])
+    rows, cols = mat_shape(seq.matrix(1))
+    if (cols, rows) != (support.dim, targets.dim):
+        raise ConfigError(
+            f"the sequence maps dimension {cols} to {rows}, but the support has "
+            f"dimension {support.dim} and the targets {targets.dim}"
+        )
     return dict(
-        support=support, seq=_build_sequence(cfg["sequence"]),
-        targets=_build_targets(cfg["targets"]), alpha=alpha, beta=beta,
+        support=support, seq=seq, targets=targets, alpha=alpha, beta=beta,
         variant=variant, radius=radius, center=center, Q=_num(cfg.get("Q", 2)),
         epochs=epochs,
     )

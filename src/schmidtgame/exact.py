@@ -170,10 +170,6 @@ def nthroot_interval(q: RatLike, k: int, rel_bits: int = DEFAULT_REL_BITS) -> In
         raise ValueError("even root of negative rational")
     if k < 1:
         raise ValueError("root order must be >= 1")
-    if q == 0:
-        return Interval.point(0)
-    if k == 1:
-        return Interval.point(q)
     n, d = q.numerator, q.denominator
     base = n * d ** (k - 1)
     r = inthroot_floor(base, k)
@@ -190,8 +186,6 @@ def pow_interval(q: RatLike, exponent: Fraction, rel_bits: int = DEFAULT_REL_BIT
     exponent = Fraction(exponent)
     if q <= 0:
         raise ValueError("base must be positive")
-    if exponent == 0:
-        return Interval.point(1)
     neg = exponent < 0
     exponent = abs(exponent)
     enc = nthroot_interval(q ** exponent.numerator, exponent.denominator, rel_bits)

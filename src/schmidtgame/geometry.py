@@ -39,9 +39,6 @@ def vscale(t: Fraction, a: Vec) -> Vec:
 
 def over_common_den(x) -> Tuple[Tuple[int, ...], int]:
     """(X, D) with x = X / D and D the lcm of the denominators of x."""
-    if len(x) == 1:  # most games are 1-D
-        p, q = x[0].as_integer_ratio()
-        return (p,), q
     ratios = [xi.as_integer_ratio() for xi in x]
     D = math.lcm(*[q for _, q in ratios])
     return tuple([p * (D // q) for p, q in ratios]), D

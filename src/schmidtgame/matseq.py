@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import Interval, frac, sqrt_interval
-from .geometry import Vec, dot, norm2, over_common_den
+from .geometry import DimensionMismatch, Vec, dot, norm2, over_common_den
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -521,6 +521,8 @@ class MatrixSequence:
     def image(self, k: int, x: Vec) -> Vec:
         """M_k x from the cached integer pair, one Fraction per coordinate."""
         (N, D), (X, Dx) = self._integer(k), over_common_den(x)
+        if len(N[0]) != len(X):
+            raise DimensionMismatch(f"{len(N[0])} vs {len(X)}")
         return tuple(Fraction(sum(map(mul, row, X)), D * Dx) for row in N)
 
     def t(self, k: int) -> Interval:

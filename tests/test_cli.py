@@ -361,6 +361,34 @@ class TestMalformedSequence:
             assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("sequence", {"kind": "powers", "base": [["2", "0"], ["0", "2"]]},
+             "the sequence maps dimension 2 to 2, but the support has dimension 1"),
+            ("sequence", {"kind": "rows", "rows": [["1", "2"]]},
+             "the sequence maps dimension 2 to 1, but the support has dimension 1"),
+            ("targets", {"kind": "lattice", "base": ["0", "1/2"]},
+             "the sequence maps dimension 1 to 1, but the support has dimension 1 "
+             "and the targets 2"),
+        ],
+        ids=["square_base", "row_length", "target_dimension"],
+    )
+    def test_shape_against_support_and_targets_exit_4(self, tmp_path, capsys, section, value, message):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path)],
+            ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+        ):
+            assert main(argv) == 4, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+
+
 class TestMalformedSupport:
     @pytest.mark.parametrize(
         "field, value, message",

@@ -100,6 +100,14 @@ class TestNthroot:
         enc = nthroot_interval(q, k)
         assert enc.lo ** k <= q <= enc.hi ** k
 
+    def test_zero_first_root_and_zero_exponent_are_points(self):
+        for k in (1, 2, 3):
+            assert nthroot_interval(F(0), k) == Interval.point(0)
+        for q in (F(7, 3), F(5), F(1, 8)):
+            assert nthroot_interval(q, 1) == Interval.point(q)
+            assert pow_interval(q, F(0)) == Interval.point(1)
+        assert nthroot_interval(F(8, 27), 3) == Interval.point(F(2, 3))
+
     def test_pow_interval(self):
         enc = pow_interval(F(8), F(2, 3))
         assert enc.lo <= F(4) <= enc.hi

@@ -10,7 +10,7 @@ import pytest
 
 from schmidtgame import matseq
 from schmidtgame.exact import Interval, sqrt_interval
-from schmidtgame.geometry import norm2
+from schmidtgame.geometry import DimensionMismatch, norm2
 from schmidtgame.matseq import (
     DegenerateDirection,
     MatrixSequence,
@@ -764,6 +764,20 @@ class TestMatrixSequence:
         seq = MatrixSequence.rows([(1,), (5,), (29,)])
         assert seq.finite and len(seq) == 3
         assert seq.t(2).lo <= F(5) <= seq.t(2).hi
+
+    def test_image_matches_mat_vec_and_checks_length(self):
+        rng = random.Random(5)
+        for seq in (
+            MatrixSequence.powers(((F(2, 3), F(1)), (F(-1, 5), F(3)))),
+            MatrixSequence.explicit([((F(1, 2), F(0), F(7)),), ((F(3), F(-1, 9), F(1)),)]),
+        ):
+            n = len(seq.matrix(1)[0])
+            for k in (1, 2):
+                x = tuple(F(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(n))
+                assert seq.image(k, x) == mat_vec(seq.matrix(k), x)
+            for bad in (x[:-1], x + (F(1),)):
+                with pytest.raises(DimensionMismatch):
+                    seq.image(1, bad)
 
     def test_explicit(self):
         seq = MatrixSequence.explicit([((F(2),),), ((F(8),),)])
