@@ -150,8 +150,16 @@ def _build_targets(cfg: Dict) -> TargetFamily:
     if kind == "lattice":
         return TargetFamily.lattice(_vec(cfg["base"]))
     if kind == "explicit":
-        pts = {_int(k): [_vec(p) for p in v] for k, v in cfg["points"].items()}
-        return TargetFamily.explicit(pts, _num(cfg["delta"]))
+        points = cfg["points"]
+        if not isinstance(points, dict) or not all(isinstance(v, list) for v in points.values()):
+            raise ConfigError(f"targets: points is not an object of point lists: {points!r}")
+        pts = {_int(k): [_vec(p) for p in v] for k, v in points.items()}
+        delta = _num(cfg["delta"])
+        try:
+            return TargetFamily.explicit(pts, delta)
+        except ValueError as e:
+            # delta <= 0, no point at all, or two points within delta
+            raise ConfigError(f"targets: {e}") from e
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
@@ -185,6 +193,9 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
     game = cfg["game"]
     support = _build_support(cfg["support"])
     alpha, beta = _num(game["alpha"]), _num(game["beta"])
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 < value < 1:
+            raise ConfigError(f"{name} must be in (0, 1), got {format_frac(value)}")
     try:
         variant = Variant(game.get("variant", "classic"))
     except ValueError as e:
@@ -223,7 +234,7 @@ def _strategy(cfg: Dict) -> Dict:
 
 def _checked(build, *args, **kwargs):
     """build(*args, **kwargs) with GameConfig's ValueError (an initial center
-    off the support, alpha or beta outside (0, 1)) as a ConfigError."""
+    off the support) as a ConfigError."""
     try:
         return build(*args, **kwargs)
     except ParameterError:
@@ -364,9 +375,6 @@ def cmd_badapprox(args) -> int:
         if x is not None:
             case = ba.rational_case_set(A, u)
             out["x_in_bad"] = case.in_bad_set(x)
-            out["bad_margin"] = format_frac(
-                ba.bad_margin(A, x, q_bound)
-            )
     else:
         out["rational"] = False
         seq = ba.best_approx_sequence(A, count)
@@ -375,10 +383,8 @@ def cmd_badapprox(args) -> int:
         out["errors"] = [
             [format_frac(e.lo), format_frac(e.hi)] for e in seq.errors
         ]
-        if x is not None:
-            out["bad_margin"] = format_frac(
-                ba.bad_margin(A, x, q_bound)
-            )
+    if x is not None:
+        out["bad_margin"] = format_frac(ba.bad_margin(A, x, q_bound))
     print(json.dumps(out))
     return EXIT_OK
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 
 DEFAULT_REL_BITS = 64
@@ -118,13 +117,6 @@ class Interval:
 
     def __rtruediv__(self, other):
         return _as_interval(other) * self.inverse()
-
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
 
     def certainly_gt(self, x: RatLike) -> bool:
         return self.lo > x

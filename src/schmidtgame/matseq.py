@@ -455,7 +455,8 @@ class MatrixSequence:
     kind: str  # "powers" | "explicit" | "rows"
     base: Optional[Matrix] = None
     matrices: Optional[List[Matrix]] = None
-    _pow_cache: List[Tuple[IntMatrix, int]] = field(default_factory=list, repr=False)
+    # (N, D) with M_k = N / D at index k - 1, built once per k
+    _ints: List[Tuple[IntMatrix, int]] = field(default_factory=list, repr=False)
     _mat_cache: Dict[int, Matrix] = field(default_factory=dict, repr=False)
     _t_cache: Dict[int, Interval] = field(default_factory=dict, repr=False)
     _eig_cache: Dict[int, Tuple[Interval, bool]] = field(default_factory=dict, repr=False)
@@ -467,7 +468,7 @@ class MatrixSequence:
         n, m = mat_shape(M)
         if n != m:
             raise ValueError("powers sequence needs a square matrix")
-        return MatrixSequence(kind="powers", base=M, _pow_cache=[_integer_form(M)])
+        return MatrixSequence(kind="powers", base=M, _ints=[_integer_form(M)])
 
     @staticmethod
     def explicit(mats: Sequence) -> "MatrixSequence":
@@ -486,7 +487,7 @@ class MatrixSequence:
                 raise ValueError("the matrices of a sequence must have equal shapes")
             if all(x == 0 for row in m for x in row):
                 raise ValueError("zero row vector" if kind == "rows" else "zero matrix")
-        return MatrixSequence(kind=kind, matrices=mats)
+        return MatrixSequence(kind=kind, matrices=mats, _ints=[_integer_form(m) for m in mats])
 
     def __len__(self) -> int:
         if self.kind == "powers":
@@ -509,14 +510,15 @@ class MatrixSequence:
         return self._mat_cache[k]
 
     def _integer(self, k: int) -> Tuple[IntMatrix, int]:
-        """(N, D): integer N with M_k = N / D; powers cache (N^k, D^k)."""
-        if self.kind != "powers" or k < 1:
-            return _integer_form(self.matrix(k))
-        N, D = self._pow_cache[0]
-        while len(self._pow_cache) < k:
-            P, E = self._pow_cache[-1]
-            self._pow_cache.append((_product(P, N), E * D))
-        return self._pow_cache[k - 1]
+        """(N, D): integer N with M_k = N / D; powers append (N^k, D^k)."""
+        if k < 1:
+            raise IndexError("sequence indices start at 1")
+        if self.kind == "powers":
+            N, D = self._ints[0]
+            while len(self._ints) < k:
+                P, E = self._ints[-1]
+                self._ints.append((_product(P, N), E * D))
+        return self._ints[k - 1]
 
     def image(self, k: int, x: Vec) -> Vec:
         """M_k x from the cached integer pair, one Fraction per coordinate."""

@@ -149,103 +149,8 @@ def _exact_avoided(
     ]
 
 
-_SCREEN_BLOCK = 4096  # grid points per float block: 4096 x 20 slabs is 640 KB
-
-
-def _avoid_euclidean(
-    K: SupportModel, ball: Ball, slabs: Sequence[SlabConstraint],
-    alpha: Fraction, need: int,
-) -> Tuple[Vec, List[int]]:
-    """Screen the cached in-ball grid with numpy, certify the winner exactly.
-
-    The covering grid of the shrunken ball, in units of rho, depends only on
-    the dimension and alpha, so `ball_grid` builds it once per game.  Float
-    clearance counts rank its points; they are taken over blocks of
-    _SCREEN_BLOCK points so the float temporaries stay in cache.  Walking
-    the counts from the maximum down picks the first 200 of the stable
-    descending order without a sort, and those are certified exactly in
-    rank order.  A point the float in-ball test admitted but the exact one
-    rejects keeps its rank slot and is skipped.
-    """
-    import numpy as np
-
-    rho = ball.radius
-    h = grid_step(alpha, ball.dim)
-    pts, w, inside = ball_grid(ball.dim, h, 1 - alpha)
-    units, offs, thresh = _slab_tables(ball, slabs, alpha)
-    counts = np.empty(len(w), dtype=np.intp)
-    for s in range(0, len(w), _SCREEN_BLOCK):
-        d = w[s:s + _SCREEN_BLOCK] @ units.T
-        d -= offs
-        counts[s:s + _SCREEN_BLOCK] = (np.abs(d, out=d) > thresh).sum(axis=1)
-    picks: List[int] = []
-    for c in range(int(counts.max()), -1, -1):
-        picks.extend(np.flatnonzero(counts == c)[: 200 - len(picks)].tolist())
-        if len(picks) == 200:
-            break
-    step = h * rho
-    margin = 3 * alpha * rho / 4
-    best: Optional[Tuple[int, Vec, List[int]]] = None
-    for idx in picks:
-        if not inside[idx]:
-            continue
-        u = vadd(ball.center, tuple(step * int(z) for z in pts[idx]))
-        avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
-        if best is None or len(avoided) > best[0]:
-            best = (len(avoided), u, avoided)
-        if len(avoided) >= need:
-            return u, avoided
-    raise NoFeasibleCenter(
-        f"best candidate clears {0 if best is None else best[0]} of "
-        f"{len(slabs)} slabs, needed {need}"
-    )
-
-
-def _avoid_on_cells(
-    K: SupportModel, ball: Ball, slabs: Sequence[SlabConstraint],
-    alpha: Fraction, need: int,
-) -> Tuple[Vec, List[int]]:
-    """Scan the enumerated candidate points (IFS supports).
-
-    Floats order the candidates by estimated clearance count; winners are
-    certified exactly, falling back to a full exact scan if the ordering
-    was misleading.
-    """
-    import numpy as np
-
-    rho = ball.radius
-    margin = 3 * alpha * rho / 4
-    cands = candidate_centers(K, ball, alpha)
-    units, offs, thresh = _slab_tables(ball, slabs, alpha)
-    w = np.array(
-        [[float((ui - ci) / rho) for ui, ci in zip(u, ball.center)] for u in cands]
-    )
-    counts = (np.abs(w @ units.T - offs) > thresh).sum(axis=1)
-    order = np.argsort(-counts, kind="stable")
-    best: Optional[Tuple[int, Vec, List[int]]] = None
-    checked = 0
-    for idx in order:
-        u = cands[int(idx)]
-        avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
-        if best is None or len(avoided) > best[0]:
-            best = (len(avoided), u, avoided)
-        if len(avoided) >= need:
-            return u, avoided
-        checked += 1
-        if checked >= 48 and len(cands) > 96:
-            break
-    if best is not None and best[0] < need and len(cands) > 96:
-        # full exact scan as a last resort
-        for u in cands:
-            avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
-            if best is None or len(avoided) > best[0]:
-                best = (len(avoided), u, avoided)
-    if best is not None and best[0] >= need:
-        return best[1], best[2]
-    raise NoFeasibleCenter(
-        f"best candidate clears {0 if best is None else best[0]} of "
-        f"{len(slabs)} slabs, needed {need}"
-    )
+_SCREEN_BLOCK = 4096  # candidates per float block: 4096 x 20 slabs is 640 KB
+_CERTIFIED = 200  # candidates certified exactly, best float screen first
 
 
 def avoidance_move(
@@ -254,17 +159,65 @@ def avoidance_move(
     """Pick a center whose shrunken ball clears many slabs, certified exactly.
 
     Clearance is tested with margin 3*alpha*rho/4: the full alpha*rho minus
-    the alpha*rho/4 mesh slack of the covering grid.  The returned index
+    the alpha*rho/4 mesh slack of the candidate mesh.  The returned index
     list is verified exactly and has size >= ceil(epsilon * N).
+
+    Only the candidates depend on the support.  On R^n they are the points
+    of the covering grid that `ball_grid` builds once per game, in units of
+    rho; a point the float in-ball test admitted but the exact one rejects
+    keeps its rank and is skipped.  On an IFS they are `candidate_centers`.
+    Float clearance counts rank the candidates, taken over blocks of
+    _SCREEN_BLOCK so the float temporaries stay in cache.  Walking the
+    counts from the maximum down picks the first _CERTIFIED of the stable
+    descending order without a sort, and those are certified exactly in
+    rank order.
     """
+    import numpy as np
+
     alpha = frac(alpha)
     if not slabs:
         return ball.center, []
-    eps = epsilon_for(K.decay, alpha)
-    need = math.ceil(eps * len(slabs))
+    need = math.ceil(epsilon_for(K.decay, alpha) * len(slabs))
+    rho = ball.radius
     if K.kind == "euclidean":
-        return _avoid_euclidean(K, ball, slabs, alpha, need)
-    return _avoid_on_cells(K, ball, slabs, alpha, need)
+        h = grid_step(alpha, ball.dim)
+        pts, w, inside = ball_grid(ball.dim, h, 1 - alpha)
+        step = h * rho
+
+        def center(i: int) -> Optional[Vec]:
+            if not inside[i]:
+                return None
+            return vadd(ball.center, tuple(step * int(z) for z in pts[i]))
+    else:
+        cands = candidate_centers(K, ball, alpha)
+        w = np.array(
+            [[float((ui - ci) / rho) for ui, ci in zip(u, ball.center)] for u in cands]
+        )
+        center = cands.__getitem__
+    units, offs, thresh = _slab_tables(ball, slabs, alpha)
+    counts = np.empty(len(w), dtype=np.intp)
+    for s in range(0, len(w), _SCREEN_BLOCK):
+        d = w[s:s + _SCREEN_BLOCK] @ units.T
+        d -= offs
+        counts[s:s + _SCREEN_BLOCK] = (np.abs(d, out=d) > thresh).sum(axis=1)
+    picks: List[int] = []
+    for c in range(int(counts.max()), -1, -1):
+        picks.extend(np.flatnonzero(counts == c)[: _CERTIFIED - len(picks)].tolist())
+        if len(picks) == _CERTIFIED:
+            break
+    margin = 3 * alpha * rho / 4
+    best = 0
+    for idx in picks:
+        u = center(idx)
+        if u is None:
+            continue
+        avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
+        if len(avoided) >= need:
+            return u, avoided
+        best = max(best, len(avoided))
+    raise NoFeasibleCenter(
+        f"best candidate clears {best} of {len(slabs)} slabs, needed {need}"
+    )
 
 
 # ---------------------------------------------------------------------------

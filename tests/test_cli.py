@@ -113,6 +113,46 @@ class TestPlay:
             assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("targets", {"kind": "explicit", "points": {"1": [["1/2"]]}, "delta": "0"},
+             "targets: delta must be positive"),
+            ("targets", {"kind": "explicit", "points": {}, "delta": "1/10"},
+             "targets: explicit family needs at least one point"),
+            ("targets", {"kind": "explicit", "points": [["1/2"]], "delta": "1/10"},
+             "targets: points is not an object of point lists: [['1/2']]"),
+            ("targets", {"kind": "explicit", "points": {"1": 5}, "delta": "1/10"},
+             "targets: points is not an object of point lists: {'1': 5}"),
+            ("targets", {"kind": "explicit", "points": {"1": [["1/2"], ["3/4"]]}, "delta": "1"},
+             "targets: targets at index 1 are not 1-uniformly discrete"),
+            ("game", {"beta": "0"}, "beta must be in (0, 1), got 0"),
+            ("game", {"beta": "-1/2"}, "beta must be in (0, 1), got -1/2"),
+            ("game", {"beta": "1"}, "beta must be in (0, 1), got 1"),
+            ("game", {"alpha": "0"}, "alpha must be in (0, 1), got 0"),
+            ("game", {"alpha": "1"}, "alpha must be in (0, 1), got 1"),
+        ],
+        ids=[
+            "zero_delta", "no_points", "points_list", "point_list_number",
+            "points_within_delta",
+            "beta_zero", "beta_negative", "beta_one", "alpha_zero", "alpha_one",
+        ],
+    )
+    def test_out_of_range_exit_4(self, tmp_path, capsys, section, value, message):
+        cfg = json.loads(open(config("pow3_classic.json")).read())
+        cfg[section].update(value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for argv in (
+            ["play", "--config", str(bad), "--out", str(tmp_path / "out")],
+            ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+        ):
+            assert main(argv) == 4, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"config error: {message}"]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_nonpositive_epochs_exit_4(self, tmp_path, capsys, epochs):
         argv = ["play", "--config", config("pow3_classic.json"), "--epochs", epochs]

@@ -783,6 +783,29 @@ class TestMatrixSequence:
         seq = MatrixSequence.explicit([((F(2),),), ((F(8),),)])
         assert seq.matrix(2) == ((F(8),),)
 
+    def test_finite_integer_pairs_built_once(self, monkeypatch):
+        # every (N, D) pair is built at construction; image and t reuse it.
+        # t's Rayleigh quotient still scales its own float vector through
+        # _integer_form, so only calls on a matrix of the sequence count
+        mats = [((F(1, 2), F(3)), (F(-2, 7), F(5))), ((F(2), F(0)), (F(1), F(1, 3)))]
+        seq = MatrixSequence.explicit(mats)
+        calls = []
+        real = matseq._integer_form
+
+        def counting(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(matseq, "_integer_form", counting)
+        x = (F(1), F(1, 4))
+        for _ in range(5):
+            for k in (1, 2):
+                assert seq.image(k, x) == mat_vec(seq.matrix(k), x)
+                seq.t(k)
+        assert [M for M in calls if M in mats] == []
+        with pytest.raises(IndexError):
+            seq.image(0, (F(1), F(1)))
+
 
 class TestLacunarity:
     def test_power_of_three(self):

@@ -34,7 +34,8 @@ from schmidtgame.strategies import (
     virtual_beta,
 )
 from schmidtgame.supports import (
-    DecayParams, SupportModel, ball_grid, epsilon_for, max_alpha,
+    DecayParams, Similarity, SupportModel, ball_grid, candidate_centers, epsilon_for,
+    max_alpha,
 )
 from schmidtgame.targets import TargetFamily, points_near
 
@@ -313,6 +314,104 @@ class TestCachedGridScreen:
         pts, w, inside = ball_grid(2, F(1, 8), F(3, 4))
         for a in (pts, w, inside):
             assert not a.flags.writeable
+
+
+def _reference_avoid_on_cells(
+    K: SupportModel, ball: Ball, slabs: Sequence[SlabConstraint],
+    alpha: F, need: int,
+) -> Tuple[Vec, List[int]]:
+    """The former IFS search, kept as the reference: a stable argsort of the
+    float counts, 48 exact certificates once there are more than 96
+    candidates, then a full exact scan as a last resort."""
+    import numpy as np
+
+    rho = ball.radius
+    margin = 3 * alpha * rho / 4
+    cands = candidate_centers(K, ball, alpha)
+    units, offs, thresh = _slab_tables(ball, slabs, alpha)
+    w = np.array(
+        [[float((ui - ci) / rho) for ui, ci in zip(u, ball.center)] for u in cands]
+    )
+    counts = (np.abs(w @ units.T - offs) > thresh).sum(axis=1)
+    order = np.argsort(-counts, kind="stable")
+    best: Optional[Tuple[int, Vec, List[int]]] = None
+    checked = 0
+    for idx in order:
+        u = cands[int(idx)]
+        avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
+        if best is None or len(avoided) > best[0]:
+            best = (len(avoided), u, avoided)
+        if len(avoided) >= need:
+            return u, avoided
+        checked += 1
+        if checked >= 48 and len(cands) > 96:
+            break
+    if best is not None and best[0] < need and len(cands) > 96:
+        for u in cands:
+            avoided = _exact_avoided(Ball(u, alpha * rho), slabs, margin)
+            if best is None or len(avoided) > best[0]:
+                best = (len(avoided), u, avoided)
+    if best is not None and best[0] >= need:
+        return best[1], best[2]
+    raise NoFeasibleCenter(
+        f"best candidate clears {0 if best is None else best[0]} of "
+        f"{len(slabs)} slabs, needed {need}"
+    )
+
+
+class TestIFSAvoidance:
+    """The shared screen on IFS candidates matches the former IFS search."""
+
+    def _cantor(self):
+        maps = [Similarity(F(1, 3), (F(0),)), Similarity(F(1, 3), (F(2, 3),))]
+        decay = DecayParams(C=F(33, 16), gamma=F(5, 8), ambient_dim=1)
+        return SupportModel.ifs(maps, (F(0),), (F(1),), decay), (F(1, 9), F(1, 20), F(1, 3000))
+
+    def _carpet(self):
+        maps = [
+            Similarity(F(1, 3), (F(i, 3), F(j, 3)))
+            for i in range(3) for j in range(3) if (i, j) != (1, 1)
+        ]
+        # the decay only sets `need` here; C = 1/4 admits alpha up to 8/9, so
+        # the candidate counts stay in the thousands
+        decay = DecayParams(C=F(1, 4), gamma=F(1, 2), ambient_dim=2)
+        return SupportModel.ifs(maps, (F(0), F(0)), (F(1), F(1)), decay), (F(1, 2), F(1, 4))
+
+    def _instances(self, K, alphas, count, seed):
+        rng = random.Random(seed)
+        n = K.dim
+        for i in range(count):
+            alpha = rng.choice(alphas)
+            depth = rng.randint(1, 12)
+            rho = F(1, 3 ** depth) * F(rng.randint(1, 9), 4)
+            word = [rng.randrange(len(K.maps)) for _ in range(depth + 4)]
+            center = K.cell_point(word)
+            slabs = []
+            for _ in range(rng.randint(1, 20)):
+                normal = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+                if all(x == 0 for x in normal):
+                    normal = (F(1),) + (F(0),) * (n - 1)
+                anchor = tuple(c + rho * F(rng.randint(-90, 90), 100) for c in center)
+                offset = sum(a * b for a, b in zip(normal, anchor))
+                # every fourth instance has slabs as wide as the ball
+                scale = 2 if i % 4 == 3 else alpha / 8
+                hw = F(rng.randint(0, 8), 8) * rho * scale
+                slabs.append(SlabConstraint(normal, offset, hw))
+            yield Ball(center, rho), slabs, alpha
+
+    @pytest.mark.parametrize("support, count", [("cantor", 40), ("carpet", 8)])
+    def test_matches_former_ifs_search(self, support, count):
+        K, alphas = getattr(self, "_" + support)()
+        infeasible = over_cap = 0
+        for ball, slabs, alpha in self._instances(K, alphas, count, 77):
+            need = math.ceil(epsilon_for(K.decay, alpha) * len(slabs))
+            got = _outcome(lambda: avoidance_move(K, ball, slabs, alpha))
+            want = _outcome(lambda: _reference_avoid_on_cells(K, ball, slabs, alpha, need))
+            assert got == want
+            infeasible += got[0] == "no feasible center"
+            over_cap += len(candidate_centers(K, ball, alpha)) > 200
+        assert 0 < infeasible < count
+        assert 0 < over_cap < count
 
 
 class TestEpochConstraints:
