@@ -9,11 +9,13 @@ sequence with targets Z to the game engine.  bad_margin independently
 certifies inf |q|^{m/n} d(Aq - x, Z^n) over a finite range of q, in
 integer arithmetic over one common denominator of the entry enclosures
 and x: exact for n = 1 with rational data and a point x, otherwise a lower
-bound from the enclosures.
+bound from the enclosures; for n = m = 1 it visits only the record lows of
+the distance to Z, not every q.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,7 +61,7 @@ class AlgebraicReal:
     """A real root of an integer polynomial, isolated by a rational interval.
 
     The endpoints carry opposite nonzero polynomial signs unless the number
-    is exactly rational, in which case lo == hi.
+    is rational: that is decided at construction, and then lo == hi.
     """
 
     poly: Tuple[int, ...]
@@ -72,21 +74,33 @@ class AlgebraicReal:
 
     def __post_init__(self):
         self.poly = tuple(int(c) for c in self.poly)
+        if not any(self.poly):
+            raise ValueError("the zero polynomial does not define a number")
         self.lo, self.hi = frac(self.lo), frac(self.hi)
         if self.lo > self.hi:
             raise ValueError("inverted isolating interval")
         self.lo_sign = 0
-        if self.lo != self.hi:
-            slo = _poly_sign(self.poly, self.lo.numerator, self.lo.denominator)
-            shi = _poly_sign(self.poly, self.hi.numerator, self.hi.denominator)
-            if slo == 0:
-                self.hi = self.lo
-            elif shi == 0:
-                self.lo = self.hi
-            elif slo == shi:
-                raise ValueError("interval does not isolate a sign change")
-            else:
-                self.lo_sign = slo
+        slo = _poly_sign(self.poly, self.lo.numerator, self.lo.denominator)
+        shi = _poly_sign(self.poly, self.hi.numerator, self.hi.denominator)
+        if slo == 0:
+            self.hi = self.lo
+        elif shi == 0:
+            self.lo = self.hi
+        elif slo == shi:  # also lo == hi at a non-root
+            raise ValueError("interval does not isolate a sign change")
+        else:
+            self.lo_sign = slo
+            # a rational root is some k/|a_n|, a_n the leading coefficient; on
+            # a copy narrower than 1/|a_n| one exact sign at k/|a_n| decides it
+            lead = abs(next(c for c in reversed(self.poly) if c))
+            probe = copy.copy(self)
+            probe.refine(Fraction(1, 2 * lead))
+            c = Fraction(math.floor(probe.lo * lead) + 1, lead)
+            if c < probe.hi:
+                probe._exclude_point(c)
+            if probe.is_rational:
+                self.lo = self.hi = probe.lo
+                self.lo_sign = 0
         self.origin = (self.lo, self.hi)
 
     @staticmethod
@@ -475,21 +489,65 @@ def _as_point_intervals(x, n: int) -> List[Interval]:
 ENTRY_WIDTH = Fraction(1, 2 ** 240)  # width of the entry enclosures bad_margin scans
 
 
+def _dist_num(lo: int, hi: int, D: int) -> int:
+    """D * d([lo, hi]/D, Z) for integers lo <= hi; 0 if the interval meets Z."""
+    fl, r = divmod(lo, D)
+    return min(r, (fl + 1) * D - hi) if r and hi // D == fl else 0
+
+
+def _first_hit(c: int, a: int, D: int, L: int, R: int) -> Optional[int]:
+    """Least s >= 1 with L <= (c + a*s) mod D <= R, for 0 <= L <= R < D, or None.
+
+    Euclid on (a, D): if a*ceil(L/a) > R, then s solves L <= a*s - D*y <= R
+    for the least y, a first hit of (-D mod a)*y mod a in [L mod a, R mod a].
+    Reflecting a to D - a keeps a <= D/2: at most log2(D) + 1 rounds.
+    """
+    c = (c + a) % D
+    if L <= c <= R:
+        return 1
+    L, R = (L - c) % D, (R - c) % D  # s = t + 1; the shifted window misses 0
+    frames = []
+    while a := a % D:
+        if 2 * a > D:
+            a, L, R = D - a, D - R, D - L
+        t = -(-L // a)
+        if a * t <= R:
+            for a, D, L in reversed(frames):
+                t = -(-(L + D * t) // a)
+            return t + 1
+        frames.append((a, D, L))
+        a, D, L, R = a - D % a, a, L % a, R % a
+    return None
+
+
+def _low_hits(c: int, a: int, D: int, q_bound: int, R: Optional[int] = None):
+    """Each k in [1, q_bound], in order, where (c + a*k) mod D is <= R or,
+    when R is None, lower than at every smaller k >= 1 (a record low)."""
+    k, v, bound = 0, c % D, D - 1 if R is None else R
+    while bound >= 0 and (s := _first_hit(v, a, D, 0, bound)) and k + s <= q_bound:
+        k, v = k + s, (v + a * s) % D
+        yield k
+        if R is None:
+            bound = v - 1
+
+
 def bad_margin(A, x, q_bound: int) -> Fraction:
     """Certified lower bound of
     min over 0 < ||q||_inf <= q_bound of ||q||^{m/n} * d(Aq - x, Z^n).
 
-    A is an AffineSystem, a nested list of rows, or one scalar entry.
-    Each algebraic entry is enclosed to width ENTRY_WIDTH by bisecting a
-    copy of its original isolating interval, so the caller's object is
-    left as it was and the result does not depend on its history.  Every
-    endpoint, of the entries and of x, is written over one common integer
-    denominator D, so Aq - x is an integer interval over D and its distance
-    to Z^n an integer over D: the same bound the Interval arithmetic of
-    _dist_to_int_interval gives, with no Interval built per q.  For n = 1
-    the margin is an integer over D; it is exact when the data is rational
-    and x a point.  For n >= 2 the Euclidean norm is bounded below by
-    sqrt_interval.
+    A is an AffineSystem, a nested list of rows, or one scalar entry.  Each
+    algebraic entry is enclosed to width ENTRY_WIDTH from a copy of its
+    original interval, so the result does not depend on the entry's history.
+    All endpoints go over one integer denominator D, so d(Aq - x, Z) is an
+    integer over D per coordinate (_dist_num): exact for n = 1 with rational
+    data and a point x; for n >= 2 sqrt_interval bounds the norm below.
+    Every q is scanned except for n = m = 1: on each sign of q the ends
+    lo(k), hi(k) of Aq - x are affine in k = |q|, a minimiser k* is a record
+    low of lo(k) mod D or -hi(k) mod D (an r < k* at or below dl(k*) has
+    r*dl(r) < k* * dl(k*)), and a zero needs -lo(k) mod D <= the width at
+    q_bound.  _first_hit finds each such k in O(log D) steps; there are
+    about as many as the partial quotients of A up to q_bound add up to,
+    O(log q_bound) for sqrt(n), against 2*q_bound in the scan.
     """
     if q_bound < 1:
         raise ValueError("q_bound must be >= 1")
@@ -520,6 +578,22 @@ def bad_margin(A, x, q_bound: int) -> Fraction:
         )
         for i in range(n)
     ]
+    if n == m == 1:
+        # on q = k and on q = -k, only record lows and possible zeros
+        (lo0, hi0, ((elo, ehi),)), best = rows[0], None
+        for alo, ahi in ((elo, ehi), (-ehi, -elo)):
+            w = min(hi0 - lo0 + q_bound * (ahi - alo), D - 1)
+            ks = {
+                *_low_hits(lo0, alo, D, q_bound),
+                *_low_hits(-hi0, -ahi, D, q_bound),
+                *_low_hits(-lo0, -alo, D, q_bound, w),
+            }
+            for k in ks:
+                dl = _dist_num(lo0 + k * alo, hi0 + k * ahi, D)
+                if dl == 0:
+                    return Fraction(0)
+                best = k * dl if best is None else min(best, k * dl)
+        return Fraction(best, D)
     best = None
     weight_nrm, weight = 0, None
     for q in _int_vectors(m, q_bound):
@@ -532,10 +606,8 @@ def bad_margin(A, x, q_bound: int) -> Fraction:
                 elif c < 0:
                     lo += c * ehi
                     hi += c * elo
-            fl, r = divmod(lo, D)
-            if r and hi // D == fl:
-                dl = min(r, (fl + 1) * D - hi)
-                d2 += dl * dl
+            dl = _dist_num(lo, hi, D)
+            d2 += dl * dl
         if d2 == 0:
             return Fraction(0)
         nrm = max(map(abs, q))

@@ -1,6 +1,7 @@
 """Badly approximable systems: algebraic reals, best approximations, margins."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from schmidtgame.badapprox import (
     _as_point_intervals,
     _dist_to_int_interval,
     _entry_interval,
+    _first_hit,
     _int_vectors,
     bad_margin,
     bad_reduction,
@@ -72,6 +74,24 @@ class TestAlgebraicReal:
             else:
                 rhi = mid
         assert (a.lo, a.hi) == (rlo, rhi)
+
+    @pytest.mark.parametrize(
+        "poly, lo, hi, root",
+        [((-4, 0, 1), 1, 3, 2), ((-2, 1), 1, 3, 2), ((-3, 2), 1, 2, F(3, 2)), ((-2, -4, 3, 6, 0), F(-3, 5), 0, F(-1, 2))],
+    )
+    def test_interior_rational_root_collapses(self, poly, lo, hi, root):
+        a = AlgebraicReal(poly, F(lo), F(hi))
+        assert a.is_rational and (a.lo, a.hi, a.origin) == (root, root, (root, root))
+        assert continued_fraction(a, 5) == continued_fraction(F(root), 5)
+
+    def test_irrational_interval_kept(self):
+        a = AlgebraicReal((-2, 0, 0, 1), F(-3), F(5))
+        assert not a.is_rational and (a.lo, a.hi, a.origin) == (-3, 5, (-3, 5))
+
+    @pytest.mark.parametrize("poly, lo, hi", [((), 1, 3), ((0, 0), 1, 3), ((-2, 0, 1), 1, 1)])
+    def test_rejects_non_numbers(self, poly, lo, hi):
+        with pytest.raises(ValueError):
+            AlgebraicReal(poly, F(lo), F(hi))
 
     def test_refine_hits_rational_root(self):
         # 4x^2 - 1 on [0, 1]: the first midpoint is the root 1/2
@@ -229,6 +249,56 @@ def _seeded_system(rng, n, m):
     return A, x, q_bound
 
 
+def _integer_scan_1x1(A, x, q_bound):
+    """Reference: the integer scan over every 0 < |q| <= q_bound that
+    bad_margin's 1x1 record walk replaced, with the same enclosures and D."""
+    (e,), = A.entries
+    xs = _as_point_intervals(x, 1)[0]
+    if isinstance(e, AlgebraicReal):
+        e = AlgebraicReal(e.poly, *e.origin)
+    iv = _entry_interval(e, ENTRY_WIDTH)
+    D = math.lcm(*(v.denominator for v in (xs.lo, xs.hi, iv.lo, iv.hi)))
+    elo, ehi, xlo, xhi = (v.numerator * (D // v.denominator) for v in (iv.lo, iv.hi, xs.lo, xs.hi))
+    best = None
+    for (c,) in _int_vectors(1, q_bound):
+        lo, hi = -xhi, -xlo
+        if c > 0:
+            lo += c * elo
+            hi += c * ehi
+        else:
+            lo += c * ehi
+            hi += c * elo
+        fl, r = divmod(lo, D)
+        if not (r and hi // D == fl):
+            return F(0)
+        dl = min(r, (fl + 1) * D - hi)
+        if best is None or abs(c) * dl < best:
+            best = abs(c) * dl
+    return F(best, D)
+
+
+def _seeded_1x1(rng):
+    """A 1x1 system and x: rational, integer, sqrt(n) and negative
+    irrational entries; points, thin and wide balls; zeros planted."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        a = F(rng.randint(-40, 40), rng.randint(1, 40))
+    elif kind == 1:
+        a = F(rng.randint(-3, 3))
+    else:
+        n = rng.choice([2, 3, 5, 7, 10, 13, 99, 101])
+        r = math.isqrt(n)
+        a = AlgebraicReal.sqrt_of(n) if kind == 2 else AlgebraicReal((-n, 0, 1), F(-r - 1), F(-r))
+    q_bound = rng.choice([1, 2, rng.randint(3, 40), rng.randint(40, 300)])
+    if kind < 2 and rng.random() < 0.3:
+        c = a * rng.randint(-q_bound, q_bound) + rng.randint(-2, 2)  # in the excluded set
+    else:
+        c = F(rng.randint(-20, 20), rng.randint(1, 30))
+    radius = rng.choice([None, None, F(1, rng.randint(10, 10 ** 6)), F(rng.randint(1, 30), 20)])
+    x = (c,) if radius is None else Ball((c,), radius)
+    return AffineSystem(((a,),)), x, q_bound
+
+
 @pytest.mark.parametrize("dim, bound", [(1, 6), (2, 6), (3, 4), (4, 2)])
 def test_int_vectors_order(dim, bound):
     # each shell is the sorted part of the cube [-r, r]^dim at sup-norm r
@@ -267,6 +337,11 @@ class TestIntegerKernel:
             # a single shell
             (AffineSystem(((AlgebraicReal.sqrt_of(2),),)), (F(1, 3),), 1),
             (AffineSystem(((F(1, 3), F(1, 5), F(1, 7)),)), (F(1, 2),), 1),
+            # 1x1: integer and negative entries, x wider than 1, a zero late in the range
+            (AffineSystem(((F(-3),),)), (F(2, 5),), 40),
+            (AffineSystem(((AlgebraicReal((-7, 0, 1), F(-3), F(-2)),),)), Ball((F(1, 4),), F(1, 10 ** 4)), 150),
+            (AffineSystem(((AlgebraicReal.sqrt_of(5),),)), Ball((F(1, 3),), F(3, 4)), 5),
+            (AffineSystem(((F(1, 197),),)), (F(100, 197),), 200),
         ],
     )
     def test_edge_cases_match_interval_scan(self, A, x, q_bound):
@@ -279,6 +354,42 @@ class TestIntegerKernel:
         assert bad_margin(AffineSystem(((F(1, 2),),)), (F(1, 3),), 1) == F(1, 6)
         # q = 1: 1/3 - [0, 1/3] = [0, 1/3] contains 0; q = -1, +-2 stay 1/3 away
         assert bad_margin(AffineSystem(((F(1, 3),),)), Ball((F(1, 6),), F(1, 6)), 2) == 0
+
+    def test_first_hit_matches_brute_force(self):
+        rng = random.Random("first_hit")
+        for _ in range(3000):
+            D = rng.randint(1, 80)
+            a = D * rng.randint(-2, 2) if rng.random() < 0.1 else rng.randint(-200, 200)
+            L = 0 if rng.random() < 0.2 else rng.randint(0, D - 1)
+            R = rng.randint(L, D - 1)
+            c = rng.randint(-200, 200)
+            # (c + a*s) mod D has period dividing D in s
+            hits = [s for s in range(1, D + 1) if L <= (c + a * s) % D <= R]
+            assert _first_hit(c, a, D, L, R) == (hits[0] if hits else None)
+
+    def test_walk_matches_integer_scan(self):
+        rng = random.Random("bad_margin:walk")
+        zeros = 0
+        for _ in range(150):
+            A, x, q_bound = _seeded_1x1(rng)
+            margin = bad_margin(A, x, q_bound)
+            assert margin == _integer_scan_1x1(A, x, q_bound)
+            zeros += margin == 0
+        assert zeros >= 10
+
+    def test_walk_is_logarithmic_in_q_bound(self, monkeypatch):
+        calls = []
+
+        def counting_first_hit(*args):
+            calls.append(1)
+            return _first_hit(*args)
+
+        A, x = AffineSystem(((sqrt2(),),)), (F(1, 3),)
+        at_10_4 = bad_margin(A, x, 10 ** 4)
+        monkeypatch.setattr(badapprox, "_first_hit", counting_first_hit)
+        at_10_12 = bad_margin(A, x, 10 ** 12)
+        assert 0 < at_10_12 <= at_10_4
+        assert len(calls) <= 200
 
     def test_builds_no_interval_per_q(self, monkeypatch):
         created, roots = [], []

@@ -653,6 +653,21 @@ class TestBadapproxCmd:
         assert out["denominators"][:5] == [1, 2, 5, 12, 29]
 
     @pytest.mark.parametrize(
+        "poly, lo, hi, root, u",
+        [([-4, 0, 1], "1", "3", "2", [1]), ([-2, 1], "1", "3", "2", [1]), ([-3, 2], "1", "2", "3/2", [2])],
+    )
+    def test_rational_root_inside_interval(self, tmp_path, capsys, poly, lo, hi, root, u):
+        # the root is found at construction, so the entry runs as the rational it is
+        outs = []
+        for entry in ({"poly": poly, "lo": lo, "hi": hi}, root):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"badapprox": {"A": [[entry]], "x": ["1/3"], "rank_bound": 32}}))
+            assert main(["badapprox", "--config", str(path)]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[0]["rational"] is True and outs[0]["u"] == u
+
+    @pytest.mark.parametrize(
         "name, key, value",
         [
             ("badapprox_rational.json", "rank_bound", "abc"),
@@ -687,6 +702,14 @@ class TestBadapproxCmd:
                 "badapprox_sqrt2.json",
                 "A",
                 [[{"poly": [-2, 0, 1], "lo": "2", "hi": "3"}]],
+                "does not isolate a sign change",
+            ),
+            ("badapprox_sqrt2.json", "A", [[{"poly": [], "lo": "1", "hi": "3"}]], "zero polynomial"),
+            ("badapprox_sqrt2.json", "A", [[{"poly": [0, 0], "lo": "1", "hi": "3"}]], "zero polynomial"),
+            (
+                "badapprox_sqrt2.json",
+                "A",
+                [[{"poly": [-2, 0, 1], "lo": "1", "hi": "1"}]],
                 "does not isolate a sign change",
             ),
         ],
