@@ -536,11 +536,17 @@ class MatrixSequence:
         return self._t_cache[k]
 
     def v(self, k: int) -> Tuple[Interval, ...]:
-        """Top right singular direction of M_k, from the cached eigenvalue."""
+        """Top right singular direction of M_k, from the cached eigenvalue.
+
+        A 1x1 M_k = N / D has direction N / |N|, which sign-normalizes to 1.
+        """
         if k not in self._v_cache:
             self.t(k)
-            lam, exact = self._eig_cache[k]
-            self._v_cache[k] = _top_direction(*self._integer(k), lam, exact)
+            N, D = self._integer(k)
+            if len(N) == len(N[0]) == 1:
+                self._v_cache[k] = (Interval.point(1),)
+            else:
+                self._v_cache[k] = _top_direction(N, D, *self._eig_cache[k])
         return self._v_cache[k]
 
 

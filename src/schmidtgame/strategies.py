@@ -121,11 +121,21 @@ def schedule_params(
 # avoidance search
 
 
+def _float(x: Fraction) -> float:
+    """float(x), or +-inf where |x| exceeds the range of a double."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _slab_tables(ball: Ball, slabs: Sequence[SlabConstraint], alpha: Fraction):
     """Per-slab float data in ball-relative units (offsets divided by rho).
 
     Working relative to the ball keeps the floats in range even when the
-    radius itself underflows a double.
+    radius itself underflows a double.  An offset or halfwidth beyond the
+    range of a double reads as +-inf: every candidate then clears a far slab
+    and none a covering one, and exact certification still decides.
     """
     import numpy as np
 
@@ -136,8 +146,8 @@ def _slab_tables(ball: Ball, slabs: Sequence[SlabConstraint], alpha: Fraction):
     for s in slabs:
         nn = math.sqrt(float(norm2(s.normal)))
         units.append([float(x) / nn for x in s.normal])
-        offs.append(float((s.offset - dot(s.normal, ball.center)) / rho) / nn)
-        thresh.append(float(s.halfwidth / rho) + 1.75 * float(alpha))
+        offs.append(_float((s.offset - dot(s.normal, ball.center)) / rho) / nn)
+        thresh.append(_float(s.halfwidth / rho) + 1.75 * float(alpha))
     return np.array(units), np.array(offs), np.array(thresh)
 
 
@@ -167,7 +177,10 @@ def avoidance_move(
     rho; a point the float in-ball test admitted but the exact one rejects
     keeps its rank and is skipped.  On an IFS they are `candidate_centers`.
     Float clearance counts rank the candidates, taken over blocks of
-    _SCREEN_BLOCK so the float temporaries stay in cache.  Walking the
+    _SCREEN_BLOCK so the float temporaries stay in cache.  Each block's
+    distances are compared in place as 0.0/1.0 and counted per row by one
+    matrix-vector product with a vector of ones; a sum of at most len(slabs)
+    ones is exact in any order, so the counts are exact integers.  Walking the
     counts from the maximum down picks the first _CERTIFIED of the stable
     descending order without a sort, and those are certified exactly in
     rank order.
@@ -195,11 +208,14 @@ def avoidance_move(
         )
         center = cands.__getitem__
     units, offs, thresh = _slab_tables(ball, slabs, alpha)
-    counts = np.empty(len(w), dtype=np.intp)
+    ones = np.ones(len(slabs))
+    counts = np.empty(len(w))
     for s in range(0, len(w), _SCREEN_BLOCK):
         d = w[s:s + _SCREEN_BLOCK] @ units.T
         d -= offs
-        counts[s:s + _SCREEN_BLOCK] = (np.abs(d, out=d) > thresh).sum(axis=1)
+        np.abs(d, out=d)
+        np.greater(d, thresh, out=d)
+        counts[s:s + _SCREEN_BLOCK] = d @ ones
     picks: List[int] = []
     for c in range(int(counts.max()), -1, -1):
         picks.extend(np.flatnonzero(counts == c)[: _CERTIFIED - len(picks)].tolist())

@@ -394,19 +394,25 @@ def ball_grid(n: int, step: Fraction, span: Fraction):
     that pass the float test ||w||^2 <= span^2 + 1e-12, in C order, their
     float offsets w = step * z, and the exact test ||step * z|| <= span.
     The float test admits every exactly inside point: its rounding error is
-    near 1e-15, far below the 1e-12 slack.  The key depends only on n and
-    alpha, so one grid serves every ball of a game; the arrays are
-    read-only.
+    near 1e-15, far below the 1e-12 slack.  The cube is screened one slice
+    z_0 = const at a time, so no more than one slice of it is held; the
+    float test is row by row, so the arrays match a one-shot build byte for
+    byte.  The key depends only on n and alpha, so one grid serves every
+    ball of a game; the arrays are read-only.
     """
     import numpy as np
 
     m = int(span / step)
     axis = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = pts.astype(float) * float(step)
-    keep = (w * w).sum(axis=1) <= float(span) ** 2 + 1e-12
-    pts, w = pts[keep], w[keep]
+    bound = float(span) ** 2 + 1e-12
+    parts = []
+    for i in range(len(axis)):
+        grids = np.meshgrid(axis[i:i + 1], *([axis] * (n - 1)), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        w = pts.astype(float) * float(step)
+        keep = (w * w).sum(axis=1) <= bound
+        parts.append((pts[keep], w[keep]))
+    pts, w = (np.concatenate(a) for a in zip(*parts))
     # sum z^2 is an integer, so <= (span/step)^2 iff <= its floor
     inside = (pts * pts).sum(axis=1) <= math.floor((span / step) ** 2)
     for a in (pts, w, inside):

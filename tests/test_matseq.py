@@ -317,6 +317,24 @@ class TestLazyDirection:
         assert sturm_count(chain, lam.hi, bound) == 0
         assert sturm_count(chain, lam.lo, bound) == 1
 
+    @pytest.mark.parametrize("seq", [
+        MatrixSequence.powers(((F(3),),)),
+        MatrixSequence.powers(((F(-3),),)),
+        MatrixSequence.powers(((F(-2, 7),),)),
+        MatrixSequence.explicit([((F(5),),), ((F(-1, 3),),), ((F(-7, 2),),)]),
+    ])
+    def test_one_by_one_direction_matches_operator_norm(self, seq):
+        for k in range(1, 4 if seq.finite else 9):
+            assert seq.v(k) == operator_norm(seq.matrix(k))[1] == (Interval.point(1),)
+
+    def test_one_by_one_direction_takes_no_square_root(self, monkeypatch):
+        sqrts = _counting(monkeypatch, "sqrt_interval")
+        seq = MatrixSequence.powers(((F(-3),),))
+        seq.t(5)
+        before = len(sqrts)
+        seq.v(5)
+        assert len(sqrts) == before
+
     def test_direction_reuses_cached_eigenvalue(self, monkeypatch):
         eigens = _counting(monkeypatch, "_top_eigenvalue")
         seq = MatrixSequence.powers(DENSE)

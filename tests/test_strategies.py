@@ -35,7 +35,7 @@ from schmidtgame.strategies import (
 )
 from schmidtgame.supports import (
     DecayParams, Similarity, SupportModel, ball_grid, candidate_centers, epsilon_for,
-    max_alpha,
+    grid_step, max_alpha,
 )
 from schmidtgame.targets import TargetFamily, points_near
 
@@ -205,6 +205,31 @@ class TestAvoidanceMove:
         with pytest.raises(NoFeasibleCenter, match="clears 0 of 1 slabs"):
             avoidance_move(K, Ball((F(0),), F(1)), [slab], F(1, 5))
 
+    def test_slab_beyond_float_range(self):
+        # offset / rho and halfwidth / rho overflow a double: the screen reads
+        # them as +-inf, and the exact certificate still decides
+        K = SupportModel.euclidean(2, DecayParams(C=F(1), gamma=F(1), ambient_dim=2))
+        ball = Ball((F(0), F(0)), F(1, 10 ** 400))
+        for offset in (F(1), F(-1)):
+            far = SlabConstraint((F(1), F(0)), offset, F(1, 10 ** 401))
+            units, offs, thresh = _slab_tables(ball, [far], F(1, 10))
+            assert offs[0] == offset * math.inf and math.isfinite(thresh[0])
+            center, avoided = avoidance_move(K, ball, [far], F(1, 10))
+            assert avoided == [0]
+            assert slab_distance_exceeds(Ball(center, ball.radius / 10), far, F(0))
+        covering = SlabConstraint((F(1), F(0)), F(0), F(1))
+        assert _slab_tables(ball, [covering], F(1, 10))[2][0] == math.inf
+        with pytest.raises(NoFeasibleCenter, match="clears 0 of 1 slabs"):
+            avoidance_move(K, ball, [covering], F(1, 10))
+
+    def test_slab_tables_in_range_unchanged(self):
+        ball = Ball((F(1, 3), F(-2, 7)), F(3, 10 ** 40))
+        slab = SlabConstraint((F(2), F(-1)), F(5, 11), F(1, 10 ** 41))
+        units, offs, thresh = _slab_tables(ball, [slab], F(1, 5))
+        nn = math.sqrt(5)
+        assert offs[0] == float((slab.offset - F(2, 3) - F(2, 7)) / ball.radius) / nn
+        assert thresh[0] == float(slab.halfwidth / ball.radius) + 1.75 * 0.2
+
 
 def _grid_step(alpha: F, rho: F, n: int) -> F:
     # same covering grid as candidate_centers on a Euclidean support
@@ -263,42 +288,81 @@ def _outcome(fn):
         return ("no feasible center", str(e))
 
 
+# normals of integer norm, axis-aligned ones among them: their float units
+# and dyadic offsets make exact ties |d| == thresh in the float screen
+SQUARE_NORMALS = {
+    1: ((1,), (2,), (3,)),
+    2: ((1, 0), (0, 1), (0, 2), (3, 4), (4, 3)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 2), (2, 2, 1), (1, 2, 2), (2, 1, 2), (0, 3, 4)),
+}
+
+
+def _slab(rng, center, rho, scale, square):
+    """A seeded slab near the ball: random small normals and anchors, or with
+    square=True an integer-norm normal, a dyadic anchor and a dyadic width."""
+    n = len(center)
+    if square:
+        normal = tuple(F(rng.choice((-1, 1)) * x) for x in rng.choice(SQUARE_NORMALS[n]))
+        anchor = tuple(c + rho * F(rng.randint(-28, 28), 32) for c in center)
+    else:
+        normal = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        if all(x == 0 for x in normal):
+            normal = (F(1),) + (F(0),) * (n - 1)
+        anchor = tuple(c + rho * F(rng.randint(-90, 90), 100) for c in center)
+    offset = sum(a * b for a, b in zip(normal, anchor))
+    return SlabConstraint(normal, offset, F(rng.randint(0, 8), 8) * rho * scale)
+
+
+def _exact_ties(w, ball, slabs, alpha) -> int:
+    """Float screen entries with |d| == thresh, which count as not cleared."""
+    import numpy as np
+
+    units, offs, thresh = _slab_tables(ball, slabs, alpha)
+    return int(np.count_nonzero(np.abs(w @ units.T - offs) == thresh))
+
+
 class TestCachedGridScreen:
     """The cached in-ball grid and bucketed pick match the full-cube screen."""
 
     ALPHAS = {1: (F(1, 4), F(1, 5), F(1, 10)), 2: (F(1, 4), F(1, 5), F(1, 10)),
               3: (F(1, 4), F(9, 50))}
 
-    def _instances(self, n, count, seed):
+    def _instances(self, n, count, seed, square=False):
         rng = random.Random(seed)
         K = SupportModel.euclidean(n, DecayParams(C=F(1), gamma=F(1), ambient_dim=n))
         for i in range(count):
-            alpha = rng.choice(self.ALPHAS[n])
+            # alpha = 1/4 keeps the grid, margins and widths dyadic
+            alpha = F(1, 4) if square else rng.choice(self.ALPHAS[n])
             rho = rng.choice((F(1), F(2, 7), F(3, 10 ** 40)))
             center = tuple(F(rng.randint(-99, 99), rng.randint(1, 50)) for _ in range(n))
-            slabs = []
-            for _ in range(rng.randint(1, 20)):
-                normal = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-                if all(x == 0 for x in normal):
-                    normal = (F(1),) + (F(0),) * (n - 1)
-                anchor = tuple(c + rho * F(rng.randint(-90, 90), 100) for c in center)
-                offset = sum(a * b for a, b in zip(normal, anchor))
-                # every fourth instance has slabs wide enough to leave no room
-                scale = 8 if i % 4 == 3 else F(1, 8)
-                hw = F(rng.randint(0, 8), 8) * alpha * rho * scale
-                slabs.append(SlabConstraint(normal, offset, hw))
+            # every fourth instance has slabs wide enough to leave no room
+            scale = alpha * (8 if i % 4 == 3 else F(1, 8))
+            slabs = [_slab(rng, center, rho, scale, square) for _ in range(rng.randint(1, 20))]
             yield K, Ball(center, rho), slabs, alpha
 
-    @pytest.mark.parametrize("n,count", [(1, 40), (2, 30), (3, 12)])
-    def test_matches_full_cube_reference(self, n, count):
-        infeasible = 0
-        for K, ball, slabs, alpha in self._instances(n, count, 1000 + n):
+    def _check(self, n, count, seed, square=False):
+        """Compare with the reference; return (infeasible instances, ties)."""
+        infeasible = ties = 0
+        for K, ball, slabs, alpha in self._instances(n, count, seed, square):
             need = math.ceil(epsilon_for(K.decay, alpha) * len(slabs))
             got = _outcome(lambda: avoidance_move(K, ball, slabs, alpha))
             want = _outcome(lambda: _reference_avoid(K, ball, slabs, alpha, need))
             assert got == want
             infeasible += got[0] == "no feasible center"
+            w = ball_grid(n, grid_step(alpha, n), 1 - alpha)[1]
+            ties += _exact_ties(w, ball, slabs, alpha)
+        return infeasible, ties
+
+    @pytest.mark.parametrize("n,count", [(1, 40), (2, 30), (3, 12)])
+    def test_matches_full_cube_reference(self, n, count):
+        infeasible, _ = self._check(n, count, 1000 + n)
         assert 0 < infeasible < count
+
+    @pytest.mark.parametrize("n,count", [(1, 40), (2, 30), (3, 12)])
+    def test_square_norm_normals_match_reference(self, n, count):
+        infeasible, ties = self._check(n, count, 2000 + n, square=True)
+        assert 0 < infeasible < count
+        assert ties > 0
 
     def test_second_call_reuses_grid(self):
         K = SupportModel.euclidean(3, DecayParams(C=F(2), gamma=F(1), ambient_dim=3))
@@ -377,41 +441,62 @@ class TestIFSAvoidance:
         decay = DecayParams(C=F(1, 4), gamma=F(1, 2), ambient_dim=2)
         return SupportModel.ifs(maps, (F(0), F(0)), (F(1), F(1)), decay), (F(1, 2), F(1, 4))
 
-    def _instances(self, K, alphas, count, seed):
+    def _cantor4(self):
+        # the Cantor set of ratio 1/4: its points, and with dyadic radii the
+        # float screen, are exact, so the screen meets exact ties
+        maps = [Similarity(F(1, 4), (F(0),)), Similarity(F(1, 4), (F(3, 4),))]
+        decay = DecayParams(C=F(1), gamma=F(1, 2), ambient_dim=1)
+        return SupportModel.ifs(maps, (F(0),), (F(1),), decay), (F(1, 4), F(1, 8))
+
+    def _instances(self, K, alphas, count, seed, square=False):
         rng = random.Random(seed)
-        n = K.dim
+        ratio = K.maps[0].ratio
         for i in range(count):
             alpha = rng.choice(alphas)
             depth = rng.randint(1, 12)
-            rho = F(1, 3 ** depth) * F(rng.randint(1, 9), 4)
+            if square:
+                rho = ratio ** depth * rng.choice((F(1), F(1, 2), F(2)))
+            else:
+                rho = ratio ** depth * F(rng.randint(1, 9), 4)
             word = [rng.randrange(len(K.maps)) for _ in range(depth + 4)]
             center = K.cell_point(word)
-            slabs = []
-            for _ in range(rng.randint(1, 20)):
-                normal = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-                if all(x == 0 for x in normal):
-                    normal = (F(1),) + (F(0),) * (n - 1)
-                anchor = tuple(c + rho * F(rng.randint(-90, 90), 100) for c in center)
-                offset = sum(a * b for a, b in zip(normal, anchor))
-                # every fourth instance has slabs as wide as the ball
-                scale = 2 if i % 4 == 3 else alpha / 8
-                hw = F(rng.randint(0, 8), 8) * rho * scale
-                slabs.append(SlabConstraint(normal, offset, hw))
+            # every fourth instance has slabs as wide as the ball
+            scale = 2 if i % 4 == 3 else alpha / 8
+            slabs = [_slab(rng, center, rho, scale, square) for _ in range(rng.randint(1, 20))]
             yield Ball(center, rho), slabs, alpha
 
-    @pytest.mark.parametrize("support, count", [("cantor", 40), ("carpet", 8)])
-    def test_matches_former_ifs_search(self, support, count):
+    def _check(self, support, count, seed, square=False):
+        """Compare with the reference; return (infeasible, over the
+        certification cap, ties)."""
+        import numpy as np
+
         K, alphas = getattr(self, "_" + support)()
-        infeasible = over_cap = 0
-        for ball, slabs, alpha in self._instances(K, alphas, count, 77):
+        infeasible = over_cap = ties = 0
+        for ball, slabs, alpha in self._instances(K, alphas, count, seed, square):
             need = math.ceil(epsilon_for(K.decay, alpha) * len(slabs))
             got = _outcome(lambda: avoidance_move(K, ball, slabs, alpha))
             want = _outcome(lambda: _reference_avoid_on_cells(K, ball, slabs, alpha, need))
             assert got == want
             infeasible += got[0] == "no feasible center"
-            over_cap += len(candidate_centers(K, ball, alpha)) > 200
+            cands = candidate_centers(K, ball, alpha)
+            over_cap += len(cands) > 200
+            w = np.array([[float((u - c) / ball.radius) for u, c in zip(p, ball.center)]
+                          for p in cands])
+            ties += _exact_ties(w, ball, slabs, alpha)
+        return infeasible, over_cap, ties
+
+    @pytest.mark.parametrize("support, count", [("cantor", 40), ("carpet", 8)])
+    def test_matches_former_ifs_search(self, support, count):
+        infeasible, over_cap, _ = self._check(support, count, 77)
         assert 0 < infeasible < count
         assert 0 < over_cap < count
+
+    @pytest.mark.parametrize("support, count", [("cantor", 40), ("cantor4", 40)])
+    def test_square_norm_normals_match_former_search(self, support, count):
+        infeasible, _, ties = self._check(support, count, 78, square=True)
+        assert 0 < infeasible < count
+        if support == "cantor4":
+            assert ties > 0
 
 
 class TestEpochConstraints:

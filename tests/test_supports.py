@@ -17,9 +17,11 @@ from schmidtgame.supports import (
     SupportError,
     SupportModel,
     _IntegerIFS,
+    ball_grid,
     candidate_centers,
     epsilon_for,
     estimate_decay,
+    grid_step,
     max_alpha,
     pointwise_dim_lower,
 )
@@ -130,6 +132,32 @@ class TestEuclideanSupport:
                 ball = Ball(center, rho)
                 got = candidate_centers(K, ball, alpha)
                 assert got == self._product_grid(n, ball, alpha)
+
+    @staticmethod
+    def _one_shot_grid(n, step, span):
+        """ball_grid's arrays built from the whole cube at once."""
+        import numpy as np
+
+        m = int(span / step)
+        axis = np.arange(-m, m + 1)
+        grids = np.meshgrid(*([axis] * n), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        w = pts.astype(float) * float(step)
+        keep = (w * w).sum(axis=1) <= float(span) ** 2 + 1e-12
+        pts, w = pts[keep], w[keep]
+        inside = (pts * pts).sum(axis=1) <= math.floor((span / step) ** 2)
+        return pts, w, inside
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ball_grid_matches_one_shot_build(self, n):
+        for alpha in (F(9, 50), F(1, 4), F(1, 5)) if n < 3 else (F(9, 50),):
+            step, span = grid_step(alpha, n), 1 - alpha
+            got = ball_grid(n, step, span)
+            want = self._one_shot_grid(n, step, span)
+            for g, x in zip(got, want):
+                assert g.dtype == x.dtype and g.shape == x.shape
+                assert g.flags.c_contiguous
+                assert g.tobytes() == x.tobytes()
 
 
 class TestCantorSupport:
