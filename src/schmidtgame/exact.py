@@ -118,15 +118,6 @@ class Interval:
     def __rtruediv__(self, other):
         return _as_interval(other) * self.inverse()
 
-    def certainly_gt(self, x: RatLike) -> bool:
-        return self.lo > x
-
-    def certainly_lt(self, x: RatLike) -> bool:
-        return self.hi < x
-
-    def certainly_ge(self, x: RatLike) -> bool:
-        return self.lo >= x
-
     def __float__(self) -> float:
         return float(self.mid)
 

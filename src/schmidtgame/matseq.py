@@ -457,7 +457,6 @@ class MatrixSequence:
     matrices: Optional[List[Matrix]] = None
     # (N, D) with M_k = N / D at index k - 1, built once per k
     _ints: List[Tuple[IntMatrix, int]] = field(default_factory=list, repr=False)
-    _mat_cache: Dict[int, Matrix] = field(default_factory=dict, repr=False)
     _t_cache: Dict[int, Interval] = field(default_factory=dict, repr=False)
     _eig_cache: Dict[int, Tuple[Interval, bool]] = field(default_factory=dict, repr=False)
     _v_cache: Dict[int, Tuple[Interval, ...]] = field(default_factory=dict, repr=False)
@@ -499,15 +498,9 @@ class MatrixSequence:
         return self.kind != "powers"
 
     def matrix(self, k: int) -> Matrix:
-        """M_k, 1-indexed."""
-        if k < 1:
-            raise IndexError("sequence indices start at 1")
-        if self.kind != "powers":
-            return self.matrices[k - 1]
-        if k not in self._mat_cache:
-            N, D = self._integer(k)
-            self._mat_cache[k] = tuple(tuple(Fraction(x, D) for x in row) for row in N)
-        return self._mat_cache[k]
+        """M_k, 1-indexed, built from the integer pair on each call."""
+        N, D = self._integer(k)
+        return tuple(tuple(Fraction(x, D) for x in row) for row in N)
 
     def _integer(self, k: int) -> Tuple[IntMatrix, int]:
         """(N, D): integer N with M_k = N / D; powers append (N^k, D^k)."""
@@ -526,6 +519,28 @@ class MatrixSequence:
         if len(N[0]) != len(X):
             raise DimensionMismatch(f"{len(N[0])} vs {len(X)}")
         return tuple(Fraction(sum(map(mul, row, X)), D * Dx) for row in N)
+
+    def preimage(self, k: int, y: Vec) -> Vec:
+        """The minimum-norm least-squares solution x of M_k x = y, exactly.
+
+        With M_k = N / D, G = N N^T and y = Y / Dy, x = D N^T z / Dy for any
+        z with G^2 z = G Y; free variables are set to 0.  Such an x lies in
+        the row space of N, and it solves the normal equations iff
+        N^T (G z - Y) = 0, that is G^2 z = G Y, since ker N^T = ker G.  G Y
+        lies in the column space of G, which is that of G^2, so the system
+        is consistent, and x is unique.
+        """
+        (N, D), (Y, Dy) = self._integer(k), over_common_den(y)
+        if len(N) != len(Y):
+            raise DimensionMismatch(f"{len(N)} vs {len(Y)}")
+        Nt = tuple(zip(*N))
+        G = _product(N, Nt)
+        aug = [row + (sum(map(mul, g, Y)),) for row, g in zip(_product(G, G), G)]
+        R, pivots = rref(tuple(tuple(map(Fraction, row)) for row in aug))
+        z = [Fraction(0)] * len(N)
+        for i, c in enumerate(pivots):
+            z[c] = R[i][-1]
+        return tuple(D * sum(map(mul, col, z)) / Dy for col in Nt)
 
     def t(self, k: int) -> Interval:
         """||M_k||_op, certified; the top direction is not computed."""

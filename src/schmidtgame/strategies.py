@@ -36,7 +36,7 @@ from .geometry import (
     vadd,
     within,
 )
-from .matseq import MatrixSequence, kernel_basis, mat_mul, mat_vec, rref, transpose
+from .matseq import MatrixSequence
 from .supports import (
     DecayParams,
     ParameterError,
@@ -121,21 +121,29 @@ def schedule_params(
 # avoidance search
 
 
-def _float(x: Fraction) -> float:
-    """float(x), or +-inf where |x| exceeds the range of a double."""
+def _float(x: Fraction, e: int = 0) -> float:
+    """float(x / 2^e), or +-inf where it exceeds the range of a double.
+
+    The power of two shifts an integer, so the one rounding is that of
+    float(x) scaled by 2^-e.
+    """
+    p, q = x.numerator, x.denominator
     try:
-        return float(x)
+        return p / (q << e) if e >= 0 else (p << -e) / q
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if p > 0 else -math.inf
 
 
 def _slab_tables(ball: Ball, slabs: Sequence[SlabConstraint], alpha: Fraction):
     """Per-slab float data in ball-relative units (offsets divided by rho).
 
     Working relative to the ball keeps the floats in range even when the
-    radius itself underflows a double.  An offset or halfwidth beyond the
-    range of a double reads as +-inf: every candidate then clears a far slab
-    and none a covering one, and exact certification still decides.
+    radius itself underflows a double, and scaling each normal by 2^-e, with
+    its largest entry's binary exponent e, does the same for its norm; both
+    scalings are exact, so every float that was in range is unchanged.  An
+    offset or halfwidth beyond the range of a double reads as +-inf: every
+    candidate then clears a far slab and none a covering one, and exact
+    certification still decides.
     """
     import numpy as np
 
@@ -144,9 +152,10 @@ def _slab_tables(ball: Ball, slabs: Sequence[SlabConstraint], alpha: Fraction):
     offs = []
     thresh = []
     for s in slabs:
-        nn = math.sqrt(float(norm2(s.normal)))
-        units.append([float(x) / nn for x in s.normal])
-        offs.append(_float((s.offset - dot(s.normal, ball.center)) / rho) / nn)
+        e = max(x.numerator.bit_length() - x.denominator.bit_length() for x in s.normal)
+        nn = math.sqrt(_float(norm2(s.normal), 2 * e))
+        units.append([_float(x, e) / nn for x in s.normal])
+        offs.append(_float((s.offset - dot(s.normal, ball.center)) / rho, e) / nn)
         thresh.append(_float(s.halfwidth / rho) + 1.75 * float(alpha))
     return np.array(units), np.array(offs), np.array(thresh)
 
@@ -248,36 +257,6 @@ class EpochConstraint:
     cert_slab: SlabConstraint  # halfwidth c/t_k (final certificate)
 
 
-def _solve(A, b: Vec) -> Optional[Vec]:
-    """A solution of A x = b over Q with every free variable 0, or None."""
-    n = len(A[0])
-    R, pivots = rref(tuple(row + (bi,) for row, bi in zip(A, b)))
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i][n]
-    return tuple(x)
-
-
-def _preimage_min_norm(M, y: Vec) -> Optional[Vec]:
-    """Minimum-norm least-squares solution of M x = y over Q."""
-    Mt = transpose(M)
-    x0 = _solve(mat_mul(Mt, M), mat_vec(Mt, y))
-    if x0 is None:
-        return None  # inconsistent; cannot happen for normal equations
-    null = kernel_basis(M)
-    if not null:
-        return x0
-    # remove the null-space component: solve the Gram system
-    gram = tuple(tuple(dot(u, v) for v in null) for u in null)
-    coef = _solve(gram, tuple(dot(u, x0) for u in null))
-    out = x0
-    for ci, nv in zip(coef, null):
-        out = tuple(o - ci * nvi for o, nvi in zip(out, nv))
-    return out
-
-
 def _indices(seq: MatrixSequence) -> Iterable[int]:
     """k = 1, 2, ...: to the end of a finite sequence, else without end."""
     return range(1, len(seq) + 1) if seq.finite else itertools.count(1)
@@ -322,9 +301,7 @@ def _constraint_for_index(
     if not ys:
         return None
     y = ys[0]
-    xstar = _preimage_min_norm(seq.matrix(k), y)
-    if xstar is None:
-        return None
+    xstar = seq.preimage(k, y)
     resid2 = dist2(seq.image(k, xstar), y)
     if resid2 > c * c:
         return None  # the c-neighborhood of y misses the range of M entirely
@@ -757,7 +734,7 @@ class ChaseBob:
         best = nearest_point(self.targets, k, img)
         if best is None or not within(gap2(best, img), reach * reach):
             return None
-        return _preimage_min_norm(self.seq.matrix(k), best)
+        return self.seq.preimage(k, best)
 
     def propose(self, transcript, outer: Ball):
         rho = outer.radius

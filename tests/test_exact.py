@@ -62,13 +62,6 @@ class TestInterval:
         inv = Interval(F(2), F(4)).inverse()
         assert inv.lo == F(1, 4) and inv.hi == F(1, 2)
 
-    def test_ordering_predicates(self):
-        a = Interval(F(2), F(3))
-        assert a.certainly_gt(F(1))
-        assert not a.certainly_gt(F(2))
-        assert a.certainly_ge(F(2))
-        assert a.certainly_lt(F(4))
-
     def test_invalid_bounds_rejected(self):
         with pytest.raises(Exception):
             Interval(F(2), F(1))

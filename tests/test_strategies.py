@@ -13,15 +13,17 @@ from typing import List, Optional, Sequence, Tuple
 from schmidtgame import cli
 from schmidtgame.engine import GameConfig, Variant, run_game, validate_transcript
 from schmidtgame.geometry import (
-    Ball, SlabConstraint, Vec, dist2, norm2, slab_distance_exceeds, vadd,
+    Ball, DimensionMismatch, SlabConstraint, Vec, dist2, dot, norm2,
+    slab_distance_exceeds, vadd,
 )
-from schmidtgame.matseq import MatrixSequence, mat_vec
+from schmidtgame.matseq import (
+    MatrixSequence, kernel_basis, mat_mul, mat_vec, rref, transpose,
+)
 from schmidtgame.strategies import (
     CertificateError,
     ChaseBob,
     NoFeasibleCenter,
     ScheduleParams,
-    _preimage_min_norm,
     _exact_avoided,
     _slab_tables,
     Theorem42Alice,
@@ -221,6 +223,20 @@ class TestAvoidanceMove:
         assert _slab_tables(ball, [covering], F(1, 10))[2][0] == math.inf
         with pytest.raises(NoFeasibleCenter, match="clears 0 of 1 slabs"):
             avoidance_move(K, ball, [covering], F(1, 10))
+
+    def test_slab_normal_beyond_float_range(self):
+        # the normal's squared norm 10^400 overflows a double; scaled by a
+        # power of two it reads as the unit normal of the same slab
+        K = SupportModel.euclidean(2, DecayParams(C=F(1), gamma=F(1), ambient_dim=2))
+        ball = Ball((F(0), F(0)), F(1))
+        huge = SlabConstraint((F(10 ** 200), F(0)), F(10 ** 200, 2), F(1))
+        unit = SlabConstraint((F(1), F(0)), F(1, 2), F(1))
+        for got, want in zip(_slab_tables(ball, [huge], F(1, 10)),
+                             _slab_tables(ball, [unit], F(1, 10))):
+            assert got.tolist() == want.tolist()
+        center, avoided = avoidance_move(K, ball, [huge], F(1, 10))
+        assert avoided == [0]
+        assert slab_distance_exceeds(Ball(center, F(1, 10)), huge, F(0))
 
     def test_slab_tables_in_range_unchanged(self):
         ball = Ball((F(1, 3), F(-2, 7)), F(3, 10 ** 40))
@@ -571,6 +587,95 @@ class TestAdversaries:
             )
             finals.append(run_game(cfg, alice, bob, seed=11).final_enclosure)
         assert finals[0] == finals[1]
+
+
+def _solve(A, b: Vec) -> Optional[Vec]:
+    """A solution of A x = b over Q with every free variable 0, or None."""
+    n = len(A[0])
+    R, pivots = rref(tuple(row + (bi,) for row, bi in zip(A, b)))
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][n]
+    return tuple(x)
+
+
+def _preimage_min_norm(M, y: Vec) -> Vec:
+    """Minimum-norm least-squares solution of M x = y over Q, by the normal
+    equations and a projection off the kernel: the reference for
+    MatrixSequence.preimage."""
+    Mt = transpose(M)
+    x0 = _solve(mat_mul(Mt, M), mat_vec(Mt, y))
+    null = kernel_basis(M)
+    if not null:
+        return x0
+    gram = tuple(tuple(dot(u, v) for v in null) for u in null)
+    coef = _solve(gram, tuple(dot(u, x0) for u in null))
+    for ci, nv in zip(coef, null):
+        x0 = tuple(o - ci * nvi for o, nvi in zip(x0, nv))
+    return x0
+
+
+class TestPreimage:
+    @staticmethod
+    def _check(seq: MatrixSequence, k: int, rng: random.Random, trials: int = 6):
+        M = seq.matrix(k)
+        for _ in range(trials):
+            y = tuple(F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in M)
+            got = seq.preimage(k, y)
+            assert got == _preimage_min_norm(M, y)
+            assert all(type(x) is F for x in got)
+
+    def test_powers_match_reference(self):
+        rng = random.Random(18)
+        bases = [
+            ((F(3),),),
+            ((F(-2, 5),),),
+            ((F(2), F(1)), (F(1), F(1))),
+            ((F(1), F(2)), (F(2), F(4))),  # singular
+            ((F(1, 2), F(-3)), (F(0), F(7, 4))),
+            ((F(1), F(2), F(0)), (F(0), F(1), F(3)), (F(1), F(0), F(1))),
+            ((F(1), F(2), F(3)), (F(2), F(4), F(6)), (F(0), F(1), F(-1, 3))),  # rank 2
+        ]
+        for _ in range(4):
+            n = rng.choice((2, 3))
+            bases.append(tuple(
+                tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+                for _ in range(n)
+            ))
+        for base in bases:
+            seq = MatrixSequence.powers(base)
+            for k in range(1, 5):
+                self._check(seq, k, rng)
+
+    def test_tall_wide_and_rows_match_reference(self):
+        rng = random.Random(7)
+        tall = ((F(1), F(2)), (F(2), F(4)), (F(-1, 3), F(-2, 3)))  # rank 1
+        wide = ((F(1), F(0), F(2, 3)), (F(-1), F(5), F(1)))
+        seq = MatrixSequence.explicit([tall])
+        y = (F(1), F(0), F(0))  # off the range: the residual is nonzero
+        x = seq.preimage(1, y)
+        assert x == _preimage_min_norm(tall, y) and seq.image(1, x) != y
+        self._check(seq, 1, rng)
+        self._check(MatrixSequence.explicit([wide]), 1, rng)
+        rows = MatrixSequence.rows([(1, 2), (3, -1), (0, 5)])
+        for k in (1, 2, 3):
+            self._check(rows, k, rng)
+        self._check(MatrixSequence.rows([(1, -2, 2), (4, 0, 3)]), 2, rng)
+
+    def test_nilpotent_zero_power(self):
+        seq = MatrixSequence.powers(((F(0), F(1)), (F(0), F(0))))
+        assert seq.matrix(2) == ((F(0), F(0)), (F(0), F(0)))
+        got = seq.preimage(2, (F(1, 3), F(-2)))
+        assert got == (F(0), F(0)) == _preimage_min_norm(seq.matrix(2), (F(1, 3), F(-2)))
+        assert all(type(x) is F for x in got)
+        self._check(seq, 1, random.Random(3))
+
+    def test_length_checked(self):
+        seq = MatrixSequence.explicit([((F(1), F(2)),)])
+        with pytest.raises(DimensionMismatch):
+            seq.preimage(1, (F(1), F(2)))
 
 
 def _reference_nearest_preimage(bob: ChaseBob, k: int, center: Vec, rho: F):
