@@ -6,11 +6,12 @@ u.x in Z.  The irrational case builds the best-approximation denominator
 sequence (continued fractions when n = m = 1, exhaustive successive
 minima otherwise), thins it to ratio >= 3, and hands the resulting row
 sequence with targets Z to the game engine.  bad_margin independently
-certifies inf |q|^{m/n} d(Aq - x, Z^n) over a finite range of q, in
-integer arithmetic over one common denominator of the entry enclosures
-and x: exact for n = 1 with rational data and a point x, otherwise a lower
-bound from the enclosures; for n = m = 1 it visits only the record lows of
-the distance to Z, not every q.
+certifies inf |q|^{m/n} d(Aq - x, Z^n) over a finite range of q: exact for
+n = 1 with rational data and a point x, otherwise a lower bound from the
+enclosures; for n = m = 1 it visits only the record lows of the distance
+to Z, not every q.  Both the errors eta_k of the best approximations and
+bad_margin read distances to Z in integers: every enclosure goes over one
+common denominator (_frame), and _dist_num does the rest.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .exact import Interval, frac, pow_interval, sqrt_interval
 from .geometry import Ball, as_vec, over_common_den
-from .matseq import LacunarityReport, MatrixSequence, analyze_lacunarity
+from .matseq import MatrixSequence
 from .targets import TargetFamily
 
 
@@ -205,18 +206,14 @@ def _entry_interval(e: Entry, max_width: Fraction) -> Interval:
 
 
 def continued_fraction(a: Union[Fraction, AlgebraicReal], count: int) -> List[int]:
-    """First `count` partial quotients (fewer if the number is rational)."""
+    """First `count` partial quotients (fewer if the number is rational);
+    a rational p/q runs as the root of q*x - p."""
     out: List[int] = []
-    if isinstance(a, Fraction) or isinstance(a, int):
-        x = frac(a)
-        for _ in range(count):
-            fl = math.floor(x)
-            out.append(fl)
-            if x == fl:
-                break
-            x = 1 / (x - fl)
-        return out
-    x = AlgebraicReal(a.poly, a.lo, a.hi)
+    if isinstance(a, AlgebraicReal):
+        x = AlgebraicReal(a.poly, a.lo, a.hi)
+    else:
+        a = frac(a)
+        x = AlgebraicReal((-a.numerator, a.denominator), a, a)
     for _ in range(count):
         fl = x.floor()
         out.append(fl)
@@ -350,15 +347,41 @@ def rational_case_set(A: AffineSystem, u: Sequence[int]) -> RationalCaseSet:
 
 
 # ---------------------------------------------------------------------------
+# distances to Z, in integers over one common denominator
+
+
+def _frame(ivs: Sequence[Interval]) -> Tuple[List[Tuple[int, int]], int]:
+    """Each interval's (lo, hi) as integer numerators over one common
+    denominator D, with D."""
+    ends, D = over_common_den([v for iv in ivs for v in (iv.lo, iv.hi)])
+    return list(zip(ends[::2], ends[1::2])), D
+
+
+def _span(lo: int, hi: int, q: Sequence[int], ends: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """[lo, hi] + sum_j q_j * [elo_j, ehi_j], for ends[j] = (elo_j, ehi_j)."""
+    for c, (elo, ehi) in zip(q, ends):
+        if c > 0:
+            lo, hi = lo + c * elo, hi + c * ehi
+        elif c < 0:
+            lo, hi = lo + c * ehi, hi + c * elo
+    return lo, hi
+
+
+def _dist_num(lo: int, hi: int, D: int) -> int:
+    """D * d([lo, hi]/D, Z) for integers lo <= hi; 0 if the interval meets Z."""
+    fl, r = divmod(lo, D)
+    return min(r, (fl + 1) * D - hi) if r and hi // D == fl else 0
+
+
+# ---------------------------------------------------------------------------
 # best approximations
 
 
 @dataclass
 class BestApproxSequence:
-    vectors: List[Tuple[int, ...]]      # thinned, ratio >= thin_ratio
-    errors: List[Interval]              # eta_k = d(A^T y_k, Z^m), certified
-    report: LacunarityReport
-    denominators: List[int] = field(default_factory=list)  # raw, before thinning
+    vectors: List[Tuple[int, ...]]  # thinned, ratio >= THIN_RATIO
+    errors: List[Interval]          # eta_k = d(A^T y_k, Z^m), certified
+    denominators: List[int]         # raw, before thinning
 
     def __post_init__(self):
         norms = [max(abs(c) for c in v) for v in self.vectors]
@@ -367,81 +390,65 @@ class BestApproxSequence:
             assert e2.hi < e1.lo, "errors must certifiably decrease"
 
 
-def _dist_to_int_interval(iv: Interval) -> Interval:
-    """Enclosure of d(t, Z) for t in iv."""
-    if math.floor(iv.lo) != math.floor(iv.hi) or iv.lo == math.floor(iv.lo):
-        lo = Fraction(0)
-    else:
-        fl = math.floor(iv.lo)
-        lo = min(iv.lo - fl, fl + 1 - iv.hi)
-        lo = max(Fraction(0), lo)
-    mid_d = []
-    for t in (iv.lo, iv.hi):
-        fl = math.floor(t)
-        mid_d.append(min(t - fl, fl + 1 - t))
-    hi = max(max(mid_d), Fraction(0))
-    hi = min(hi, Fraction(1, 2))
-    if math.floor(2 * iv.lo) != math.floor(2 * iv.hi):
-        hi = Fraction(1, 2)  # a half-integer may lie inside
-    return Interval(lo, hi)
+def _eta(cols: Sequence[Sequence[Tuple[int, int]]], D: int, y: Sequence[int]) -> Interval:
+    """Certified enclosure of d(A^T y, Z^m) (Euclidean over coordinates).
+
+    cols[j] holds the (lo, hi) numerators over D of column j of A (_frame).
+    Column j of A^T y lies in [lo, hi] / D, whose distance to Z is at least
+    _dist_num(lo, hi, D) / D and at most that of the farther endpoint, or 1/2
+    when a half-integer lies inside; the upper ends are numerators over 2D,
+    so 1/2 is exact for odd D.
+    """
+    lo2 = hi2 = 0
+    for col in cols:
+        lo, hi = _span(0, 0, y, col)
+        d = _dist_num(lo, hi, D)
+        lo2 += d * d
+        if (2 * lo) // D != (2 * hi) // D:
+            u = D
+        else:
+            u = 2 * max(_dist_num(lo, lo, D), _dist_num(hi, hi, D))
+        hi2 += u * u
+    return Interval(
+        sqrt_interval(Fraction(lo2, D * D)).lo, sqrt_interval(Fraction(hi2, 4 * D * D)).hi
+    )
 
 
-def _eta(A: AffineSystem, y: Sequence[int], width: Fraction) -> Interval:
-    """Certified enclosure of d(A^T y, Z^m) (Euclidean over coordinates)."""
-    total_lo = Fraction(0)
-    total_hi = Fraction(0)
-    for j in range(A.m):
-        acc = Interval(Fraction(0), Fraction(0))
-        for i in range(A.n):
-            e = _entry_interval(A.entries[i][j], width)
-            acc = acc + e * Interval(Fraction(y[i]), Fraction(y[i]))
-        d = _dist_to_int_interval(acc)
-        total_lo += d.lo * d.lo
-        total_hi += d.hi * d.hi
-    return Interval(sqrt_interval(total_lo).lo, sqrt_interval(total_hi).hi)
+THIN_RATIO = 3  # consecutive thinned norms grow by at least this factor
+SEARCH_BOUND = 2000  # sup-norm bound of the successive-minima search
+ETA_WIDTH = Fraction(1, 10 ** 40)  # width of the entry enclosures _eta reads
 
 
-DEFAULT_THIN_RATIO = 3
-
-
-def best_approx_sequence(
-    A: AffineSystem,
-    count: int,
-    thin_ratio: int = DEFAULT_THIN_RATIO,
-    search_bound: int = 2000,
-) -> BestApproxSequence:
+def best_approx_sequence(A: AffineSystem, count: int) -> BestApproxSequence:
     """Best-approximation vectors, thinned so consecutive norms grow by
-    >= thin_ratio; continued fractions when n = m = 1."""
-    if rational_rank_check(A, 32) is not None:
+    >= THIN_RATIO; continued fractions when n = m = 1."""
+    if A.is_rational:
         raise ValueError("rational system: use rational_case_set instead")
-    if A.n == 1 and A.m == 1:
-        entry = A.entries[0][0]
-        quotients = continued_fraction(entry, 2 * count + 8)
-        denoms = convergent_denominators(quotients)
-        raw = [(q,) for q in denoms]
-    else:
-        raw = []
-        best: Optional[Interval] = None
-        width = Fraction(1, 10 ** 40)
-        for u in _int_vectors(A.n, search_bound):
+    if A.n == A.m == 1:
+        # from the entry's interval as given, before _frame refines it
+        quotients = continued_fraction(A.entries[0][0], 2 * count + 8)
+        raw = [(q,) for q in convergent_denominators(quotients)]
+    ends, D = _frame([_entry_interval(e, ETA_WIDTH) for row in A.entries for e in row])
+    cols = [ends[j::A.m] for j in range(A.m)]
+    if not A.n == A.m == 1:
+        raw, best = [], None
+        for u in _int_vectors(A.n, SEARCH_BOUND):
             if any(c < 0 for c in u) and tuple(-c for c in u) <= u:
                 continue  # eta is even; keep one of each +-pair
-            e = _eta(A, u, width)
+            e = _eta(cols, D, u)
             if best is None or e.hi < best.lo:
                 raw.append(u)
                 best = e
             if len(raw) >= 3 * count:
                 break
-        denoms = [max(abs(c) for c in u) for u in raw]
-    width = Fraction(1, 10 ** 40)
     thin: List[Tuple[int, ...]] = []
     errors: List[Interval] = []
     last_norm = 0
     for y in raw:
         nrm = max(abs(c) for c in y)
-        if nrm == 0 or (thin and nrm < thin_ratio * last_norm):
+        if thin and nrm < THIN_RATIO * last_norm:
             continue
-        e = _eta(A, y, width)
+        e = _eta(cols, D, y)
         if errors and not e.hi < errors[-1].lo:
             continue  # keep the certified strict decrease
         thin.append(tuple(y))
@@ -451,11 +458,8 @@ def best_approx_sequence(
             break
     if not thin:
         raise PrecisionError("no certifiable best approximations found")
-    rows = MatrixSequence.rows([tuple(Fraction(c) for c in y) for y in thin])
-    report = analyze_lacunarity(rows, horizon=len(thin))
-    return BestApproxSequence(
-        vectors=thin, errors=errors, report=report, denominators=denoms
-    )
+    denoms = [max(abs(c) for c in u) for u in raw]
+    return BestApproxSequence(vectors=thin, errors=errors, denominators=denoms)
 
 
 def bad_reduction(
@@ -487,12 +491,6 @@ def _as_point_intervals(x, n: int) -> List[Interval]:
 
 
 ENTRY_WIDTH = Fraction(1, 2 ** 240)  # width of the entry enclosures bad_margin scans
-
-
-def _dist_num(lo: int, hi: int, D: int) -> int:
-    """D * d([lo, hi]/D, Z) for integers lo <= hi; 0 if the interval meets Z."""
-    fl, r = divmod(lo, D)
-    return min(r, (fl + 1) * D - hi) if r and hi // D == fl else 0
 
 
 def _first_hit(c: int, a: int, D: int, L: int, R: int) -> Optional[int]:
@@ -558,26 +556,13 @@ def bad_margin(A, x, q_bound: int) -> Fraction:
     if len(xs) != n:
         raise ValueError("point dimension does not match the system")
     fresh = [
-        [AlgebraicReal(e.poly, *e.origin) if isinstance(e, AlgebraicReal) else e for e in row]
+        AlgebraicReal(e.poly, *e.origin) if isinstance(e, AlgebraicReal) else e
         for row in A.entries
+        for e in row
     ]
-    cols = [[_entry_interval(fresh[i][j], ENTRY_WIDTH) for i in range(n)] for j in range(m)]
-    D = math.lcm(
-        *(v.denominator for iv in itertools.chain(xs, *cols) for v in (iv.lo, iv.hi))
-    )
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (D // v.denominator)
-
+    ends, D = _frame(xs + [_entry_interval(e, ENTRY_WIDTH) for e in fresh])
     # per coordinate i: -x_i as (lo, hi) and the (lo, hi) of each entry A_ij
-    rows = [
-        (
-            -scaled(xs[i].hi),
-            -scaled(xs[i].lo),
-            [(scaled(col[i].lo), scaled(col[i].hi)) for col in cols],
-        )
-        for i in range(n)
-    ]
+    rows = [(-ends[i][1], -ends[i][0], ends[n + i * m:n + (i + 1) * m]) for i in range(n)]
     if n == m == 1:
         # on q = k and on q = -k, only record lows and possible zeros
         (lo0, hi0, ((elo, ehi),)), best = rows[0], None
@@ -599,14 +584,7 @@ def bad_margin(A, x, q_bound: int) -> Fraction:
     for q in _int_vectors(m, q_bound):
         d2 = 0
         for lo, hi, entries in rows:
-            for c, (elo, ehi) in zip(q, entries):
-                if c > 0:
-                    lo += c * elo
-                    hi += c * ehi
-                elif c < 0:
-                    lo += c * ehi
-                    hi += c * elo
-            dl = _dist_num(lo, hi, D)
+            dl = _dist_num(*_span(lo, hi, q, entries), D)
             d2 += dl * dl
         if d2 == 0:
             return Fraction(0)

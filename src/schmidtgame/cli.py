@@ -369,6 +369,10 @@ def cmd_badapprox(args) -> int:
         raise ConfigError(f"x has dimension {len(x)} but A has {A.n} rows")
     out: Dict = {}
     u = ba.rational_rank_check(A, rank_bound)
+    if u is None and A.is_rational:
+        raise ConfigError(
+            f"rational A: no integer u with A^T u integral has |u| <= rank_bound {rank_bound}"
+        )
     if u is not None:
         out["rational"] = True
         out["u"] = list(u)

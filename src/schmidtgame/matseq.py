@@ -459,7 +459,6 @@ class MatrixSequence:
     _ints: List[Tuple[IntMatrix, int]] = field(default_factory=list, repr=False)
     _t_cache: Dict[int, Interval] = field(default_factory=dict, repr=False)
     _eig_cache: Dict[int, Tuple[Interval, bool]] = field(default_factory=dict, repr=False)
-    _v_cache: Dict[int, Tuple[Interval, ...]] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def powers(M) -> "MatrixSequence":
@@ -555,14 +554,11 @@ class MatrixSequence:
 
         A 1x1 M_k = N / D has direction N / |N|, which sign-normalizes to 1.
         """
-        if k not in self._v_cache:
-            self.t(k)
-            N, D = self._integer(k)
-            if len(N) == len(N[0]) == 1:
-                self._v_cache[k] = (Interval.point(1),)
-            else:
-                self._v_cache[k] = _top_direction(N, D, *self._eig_cache[k])
-        return self._v_cache[k]
+        self.t(k)
+        N, D = self._integer(k)
+        if len(N) == len(N[0]) == 1:
+            return (Interval.point(1),)
+        return _top_direction(N, D, *self._eig_cache[k])
 
 
 @dataclass(frozen=True)

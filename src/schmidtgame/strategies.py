@@ -79,6 +79,9 @@ class ScheduleParams:
     delta: Fraction
 
 
+_MAX_N = 100000  # the largest epoch length N schedule_params tries
+
+
 def schedule_params(
     alpha: Fraction,
     beta: Fraction,
@@ -86,7 +89,6 @@ def schedule_params(
     decay: DecayParams,
     delta: Fraction,
     rho: Fraction,
-    max_N: int = 100000,
 ) -> ScheduleParams:
     """Derive (epsilon, N, r, c) for the scheduled avoidance strategy."""
     alpha, beta, Q, delta, rho = (frac(x) for x in (alpha, beta, Q, delta, rho))
@@ -107,7 +109,7 @@ def schedule_params(
     # base^r, (1/ab)^r and Q^N are carried from one N to the next
     base = 1 / (1 - eps)
     r, base_r, lhs, rhs = 1, base, 1 / ab, Fraction(1)
-    for N in range(1, max_N + 1):
+    for N in range(1, _MAX_N + 1):
         while base_r <= N:
             r, base_r, lhs = r + 1, base_r * base, lhs / ab
         rhs *= Q
@@ -262,9 +264,10 @@ def _indices(seq: MatrixSequence) -> Iterable[int]:
     return range(1, len(seq) + 1) if seq.finite else itertools.count(1)
 
 
-def _window_indices(
-    seq: MatrixSequence, lo_cap: Fraction, hi_cap: Fraction, guard: int = 8
-) -> List[int]:
+_WINDOW_GUARD = 8  # consecutive norms past the window that end an unbounded scan
+
+
+def _window_indices(seq: MatrixSequence, lo_cap: Fraction, hi_cap: Fraction) -> List[int]:
     """Indices k whose norm enclosure meets [lo_cap, hi_cap)."""
     out = []
     beyond = 0
@@ -274,7 +277,7 @@ def _window_indices(
             out.append(k)
         if t.lo >= hi_cap:
             beyond += 1
-            if not seq.finite and beyond >= guard:
+            if not seq.finite and beyond >= _WINDOW_GUARD:
                 break
         else:
             beyond = 0
@@ -709,14 +712,16 @@ def certified_game(
 # Bob adversaries
 
 
+_CHASE_HORIZON = 40  # the highest constraint index ChaseBob chases
+
+
 class ChaseBob:
     """Drifts toward the nearest preimage point of the lowest constraint
     index still reachable under the remaining movement budget."""
 
-    def __init__(self, seq: MatrixSequence, targets: TargetFamily, guard: int = 40):
+    def __init__(self, seq: MatrixSequence, targets: TargetFamily):
         self.seq = seq
         self.targets = targets
-        self.guard = guard
         self.k_target = 1
         self.beta = Fraction(1, 2)
         self.support: Optional[SupportModel] = None
@@ -743,7 +748,7 @@ class ChaseBob:
         c = outer.center
         budget = step / (1 - self.alpha * self.beta)  # total future movement
         p = None
-        while self.k_target <= self.guard:
+        while self.k_target <= _CHASE_HORIZON:
             if self.seq.finite and self.k_target > len(self.seq):
                 break
             p = self._nearest_preimage(self.k_target, c, rho)

@@ -421,26 +421,21 @@ def ball_grid(n: int, step: Fraction, span: Fraction):
 
 
 def candidate_centers(K: SupportModel, ball: Ball, alpha: Fraction) -> List[Vec]:
-    """Finite mesh of points of K inside B(center, (1-alpha) * radius).
+    """Finite mesh of points of the IFS attractor K inside
+    B(center, (1-alpha) * radius); on R^n the covering grid is `ball_grid`.
 
     Mesh size alpha*radius/4: any point of K in the shrunken ball has a
     candidate within that distance, which is the slack the avoidance move
-    budgets for.  On an IFS the cells come from a walk over the outer ball,
-    not the shrunken one: the outer balls of a game are nested and their
-    meshes shrink, so cells_meeting_ball resumes from the previous round's
-    cells, while shrunken balls need not be nested.  The walk's cells whose
-    box meets the shrunken ball are exactly the cells meeting it.
+    budgets for.  The cells come from a walk over the outer ball, not the
+    shrunken one: the outer balls of a game are nested and their meshes
+    shrink, so cells_meeting_ball resumes from the previous round's cells,
+    while shrunken balls need not be nested.  The walk's cells whose box
+    meets the shrunken ball are exactly the cells meeting it.
     """
+    if K.kind != "ifs":
+        raise SupportError("candidate centers are built on an IFS support")
     alpha = Fraction(alpha)
     rho = ball.radius
-    if K.kind == "euclidean":
-        h = grid_step(alpha, K.dim)
-        pts, _, inside = ball_grid(K.dim, h, 1 - alpha)
-        step = h * rho
-        return sorted(
-            vadd(ball.center, tuple(step * int(zi) for zi in z))
-            for z in pts[inside]
-        )
     reach = (1 - alpha) * rho
     reach2 = reach * reach
     mesh = alpha * rho / 4

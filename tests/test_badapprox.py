@@ -1,5 +1,6 @@
 """Badly approximable systems: algebraic reals, best approximations, margins."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,9 +14,10 @@ from schmidtgame.badapprox import (
     AffineSystem,
     AlgebraicReal,
     _as_point_intervals,
-    _dist_to_int_interval,
     _entry_interval,
+    _eta,
     _first_hit,
+    _frame,
     _int_vectors,
     bad_margin,
     bad_reduction,
@@ -106,6 +108,8 @@ class TestContinuedFraction:
 
     def test_rational_quotients(self):
         assert continued_fraction(F(10, 7), 8) == [1, 2, 3]
+        assert continued_fraction(F(-7, 3), 8) == [-3, 1, 2]
+        assert continued_fraction(5, 8) == [5]
 
     def test_convergent_denominators(self):
         assert convergent_denominators([1, 2, 2, 2, 2]) == [1, 2, 5, 12, 29]
@@ -188,6 +192,38 @@ class TestBestApproxSequence:
         with pytest.raises(ValueError):
             best_approx_sequence(AffineSystem(((F(1, 2),),)), 5)
 
+    def test_rational_beyond_rank_32_rejected(self):
+        # the least u of 1/70 is 70: rejected by A.is_rational, not by a search
+        with pytest.raises(ValueError):
+            best_approx_sequence(AffineSystem(((F(1, 70),),)), 5)
+
+    @pytest.mark.parametrize(
+        "shape, vectors, denominators, errors_sha256",
+        [
+            (
+                "1x2",
+                [(-1,), (-3,), (-19,)],
+                [1, 3, 7, 19, 22, 34, 41, 1183, 1463],
+                "4dd61f2aa493d4f65e5198d4e45f285049c43ffffec7bca5dd98ce361b19ec8f",
+            ),
+            (
+                "2x1",
+                [(-1, -1), (-3, -1), (-16, -21)],
+                [1, 2, 2, 3, 3, 5, 21, 25, 35],
+                "0f7a396ee22181bb717a6555c95fe0300a67f2e0bf16c4e35f411d49efdbb85a",
+            ),
+        ],
+    )
+    def test_sqrt2_sqrt3_pinned(self, shape, vectors, denominators, errors_sha256):
+        # (sqrt 2, sqrt 3) as a row and as a column; the pins are the values
+        # of the Interval-arithmetic eta that the integer kernel replaced
+        s2, s3 = AlgebraicReal.sqrt_of(2), AlgebraicReal.sqrt_of(3)
+        A = AffineSystem(((s2, s3),) if shape == "1x2" else ((s2,), (s3,)))
+        seq = best_approx_sequence(A, 3)
+        assert seq.vectors == vectors and seq.denominators == denominators
+        text = "\n".join(f"{e.lo} {e.hi}" for e in seq.errors)
+        assert hashlib.sha256(text.encode()).hexdigest() == errors_sha256
+
 
 class TestBadReduction:
     def test_shapes(self):
@@ -208,6 +244,25 @@ class TestIntervalMargin:
         A = AffineSystem(((sqrt2(),),))
         m = bad_margin(A, (F(1, 2),), 50)
         assert m > 0
+
+
+def _dist_to_int_interval(iv):
+    """Reference: an enclosure of d(t, Z) for t in iv, in Interval arithmetic."""
+    if math.floor(iv.lo) != math.floor(iv.hi) or iv.lo == math.floor(iv.lo):
+        lo = F(0)
+    else:
+        fl = math.floor(iv.lo)
+        lo = min(iv.lo - fl, fl + 1 - iv.hi)
+        lo = max(F(0), lo)
+    mid_d = []
+    for t in (iv.lo, iv.hi):
+        fl = math.floor(t)
+        mid_d.append(min(t - fl, fl + 1 - t))
+    hi = max(max(mid_d), F(0))
+    hi = min(hi, F(1, 2))
+    if math.floor(2 * iv.lo) != math.floor(2 * iv.hi):
+        hi = F(1, 2)  # a half-integer may lie inside
+    return Interval(lo, hi)
 
 
 def _interval_margin(A, x, q_bound):
@@ -409,3 +464,69 @@ class TestIntegerKernel:
         assert bad_margin(A, (F(1, 3),), 10 ** 4) > 0
         assert len(created) <= 10
         assert len(roots) <= 1
+
+
+def _interval_eta(cols, y):
+    """Reference: d(A^T y, Z^m) as _eta computed it in Interval arithmetic,
+    cols[j] the Interval enclosures of column j of A."""
+    total_lo = total_hi = F(0)
+    for col in cols:
+        acc = Interval(F(0), F(0))
+        for e, c in zip(col, y):
+            acc = acc + e * Interval(F(c), F(c))
+        d = _dist_to_int_interval(acc)
+        total_lo += d.lo * d.lo
+        total_hi += d.hi * d.hi
+    return Interval(sqrt_interval(total_lo).lo, sqrt_interval(total_hi).hi)
+
+
+class TestEta:
+    @staticmethod
+    def _columns(rng, n, m):
+        """n x m entry enclosures: points and short intervals over small,
+        often odd, denominators, so sums land on integers and half-integers;
+        some entries are sqrt(k) enclosures."""
+        def entry():
+            if rng.random() < 0.15:
+                return AlgebraicReal.sqrt_of(rng.choice([2, 3, 5])).interval(F(1, 2 ** 60))
+            den = rng.choice([1, 2, 3, 5, 6, 7, 9])
+            lo = F(rng.randint(-4 * den, 4 * den), den)
+            return Interval(lo, lo + F(rng.choice([0, 0, 1, 2]), den * rng.choice([1, 3])))
+
+        return [[entry() for _ in range(n)] for _ in range(m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_interval_reference(self, m):
+        rng = random.Random(f"eta:{m}")
+        seen = {"integer end": 0, "half-integer inside": 0, "odd D": 0, "negative sum": 0}
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            cols = self._columns(rng, n, m)
+            y = [rng.randint(-6, 6) for _ in range(n)]
+            ends, D = _frame([e for col in cols for e in col])
+            got = _eta([ends[j * n:(j + 1) * n] for j in range(m)], D, y)
+            assert got == _interval_eta(cols, y)
+            seen["odd D"] += D % 2
+            for col in cols:
+                acc = sum((e * Interval(F(c), F(c)) for e, c in zip(col, y)), Interval(F(0), F(0)))
+                seen["integer end"] += any(v.denominator == 1 for v in (acc.lo, acc.hi))
+                seen["half-integer inside"] += math.floor(2 * acc.lo) != math.floor(2 * acc.hi)
+                seen["negative sum"] += acc.hi < 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_one_eta_builds_at_most_three_intervals(self, monkeypatch):
+        created = []
+        post_init = Interval.__post_init__
+
+        def counting_post_init(self):
+            created.append(1)
+            post_init(self)
+
+        s2, s3 = AlgebraicReal.sqrt_of(2), AlgebraicReal.sqrt_of(3)
+        ends, D = _frame([s2.interval(F(1, 10 ** 40)), s3.interval(F(1, 10 ** 40))])
+        monkeypatch.setattr(Interval, "__post_init__", counting_post_init)
+        for cols in ([ends], [ends[:1], ends[1:]]):
+            for y in ([7, -3], [19]):
+                created.clear()
+                _eta(cols, D, y[: len(cols[0])])
+                assert len(created) <= 3

@@ -652,6 +652,17 @@ class TestBadapproxCmd:
         assert out["rational"] is False
         assert out["denominators"][:5] == [1, 2, 5, 12, 29]
 
+    def test_sqrt2_sqrt3_stdout_pinned(self, capsys):
+        # a 1x2 system: the successive-minima search, eta and the q scan
+        assert main(["badapprox", "--config", config("badapprox_sqrt2_sqrt3.json")]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2163fbb6cb20e9405e9e4e2e4a4a57c656f2a54bd4edc80f231ad28227cb645f"
+        )
+        out = json.loads(out)
+        assert out["rational"] is False
+        assert (out["denominators"], out["thinned"]) == ([1, 3, 7], [[-1], [-3], [-19]])
+
     @pytest.mark.parametrize(
         "poly, lo, hi, root, u",
         [([-4, 0, 1], "1", "3", "2", [1]), ([-2, 1], "1", "3", "2", [1]), ([-3, 2], "1", "2", "3/2", [2])],
@@ -712,11 +723,15 @@ class TestBadapproxCmd:
                 [[{"poly": [-2, 0, 1], "lo": "1", "hi": "1"}]],
                 "does not isolate a sign change",
             ),
+            # a rational A whose least u lies beyond rank_bound (key None:
+            # value updates several keys)
+            ("badapprox_sqrt2.json", None, {"A": [["1/7"]], "rank_bound": 5}, "rank_bound 5"),
+            ("badapprox_sqrt2.json", None, {"A": [["1/70"]], "rank_bound": 50}, "rank_bound 50"),
         ],
     )
     def test_malformed_input_exit_4(self, tmp_path, capsys, name, key, value, message):
         cfg = json.loads(open(config(name)).read())
-        cfg["badapprox"][key] = value
+        cfg["badapprox"].update(value if key is None else {key: value})
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert main(["badapprox", "--config", str(bad)]) == 4

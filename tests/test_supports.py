@@ -98,11 +98,20 @@ class TestEuclideanSupport:
         K = lebesgue_line()
         assert K.on_support((F(22, 7),))
 
+    @staticmethod
+    def _grid_centers(K, ball, alpha):
+        """The candidate centers avoidance_move screens on R^n: the points of
+        ball_grid that pass the exact test, mapped as it maps them."""
+        h = grid_step(alpha, K.dim)
+        pts, _, inside = ball_grid(K.dim, h, 1 - alpha)
+        step = h * ball.radius
+        return sorted(vadd(ball.center, tuple(step * int(zi) for zi in z)) for z in pts[inside])
+
     def test_candidate_centers_contained(self):
         K = lebesgue_line()
         ball = Ball((F(0),), F(1))
         alpha = F(1, 4)
-        cands = candidate_centers(K, ball, alpha)
+        cands = self._grid_centers(K, ball, alpha)
         assert cands
         span2 = (1 - alpha) ** 2
         for u in cands:
@@ -130,8 +139,12 @@ class TestEuclideanSupport:
         for alpha in (F(9, 50), F(1, 4), F(1, 3)) if n < 3 else (F(1, 3),):
             for center, rho in (((F(0),) * n, F(1)), ((F(1, 3),) * n, F(2, 7 * 10 ** 30))):
                 ball = Ball(center, rho)
-                got = candidate_centers(K, ball, alpha)
+                got = self._grid_centers(K, ball, alpha)
                 assert got == self._product_grid(n, ball, alpha)
+
+    def test_candidate_centers_need_an_ifs(self):
+        with pytest.raises(SupportError):
+            candidate_centers(lebesgue_line(), Ball((F(0),), F(1)), F(1, 4))
 
     @staticmethod
     def _one_shot_grid(n, step, span):
