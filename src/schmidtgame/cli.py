@@ -67,9 +67,20 @@ class ConfigError(ValueError):
 def _load_config(path: str) -> Dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not an object")
+    return cfg
+
+
+def _object(cfg: Dict, key: str, default: Optional[Dict] = None) -> Dict:
+    """The JSON object cfg[key]; `default` if it is absent, else a KeyError."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} is not an object: {value!r}")
+    return value
 
 
 def _num(x) -> Fraction:
@@ -80,6 +91,8 @@ def _num(x) -> Fraction:
 
 
 def _int(x) -> int:
+    if isinstance(x, float):  # int() would truncate 1.5 to 1
+        raise ConfigError(f"not an integer: {x!r}")
     try:
         return int(x)
     except (TypeError, ValueError) as e:
@@ -94,7 +107,7 @@ def _vec(data) -> Tuple[Fraction, ...]:
 
 
 def _build_support(cfg: Dict) -> SupportModel:
-    d = cfg.get("decay", {})
+    d = _object(cfg, "decay", {})
     decay = DecayParams(
         C=_num(d.get("C", 1)),
         gamma=_num(d.get("gamma", 1)),
@@ -187,11 +200,11 @@ def _build_affine(cfg: Dict) -> ba.AffineSystem:
 def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
     """certified_game's arguments, parsed once for play and verify; `epochs`
     (--epochs) overrides the config's unless it is None."""
-    mode = _strategy(cfg).get("mode", "certified")
+    mode = _object(cfg, "strategy", {}).get("mode", "certified")
     if mode != "certified":
         raise ConfigError(f"unknown strategy mode {mode!r}: only 'certified' games are played")
-    game = cfg["game"]
-    support = _build_support(cfg["support"])
+    game = _object(cfg, "game")
+    support = _build_support(_object(cfg, "support"))
     alpha, beta = _num(game["alpha"]), _num(game["beta"])
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0 < value < 1:
@@ -211,7 +224,7 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
         raise ConfigError(
             f"center has dimension {len(center)} but the support has dimension {support.dim}"
         )
-    seq, targets = _build_sequence(cfg["sequence"]), _build_targets(cfg["targets"])
+    seq, targets = _build_sequence(_object(cfg, "sequence")), _build_targets(_object(cfg, "targets"))
     rows, cols = mat_shape(seq.matrix(1))
     if (cols, rows) != (support.dim, targets.dim):
         raise ConfigError(
@@ -223,13 +236,6 @@ def _game_inputs(cfg: Dict, epochs: Optional[int]) -> Dict:
         variant=variant, radius=radius, center=center, Q=_num(cfg.get("Q", 2)),
         epochs=epochs,
     )
-
-
-def _strategy(cfg: Dict) -> Dict:
-    strategy = cfg.get("strategy", {})
-    if not isinstance(strategy, dict):
-        raise ConfigError(f"strategy is not an object: {strategy!r}")
-    return strategy
 
 
 def _checked(build, *args, **kwargs):
@@ -265,7 +271,7 @@ def cmd_play(args) -> int:
     seed = _seed(args)
     game = _checked(certified_game, **inputs)
 
-    bob_name = _strategy(cfg).get("bob", "random")
+    bob_name = _object(cfg, "strategy", {}).get("bob", "random")
     bobs = bob_adversaries(seq, targets, seed)
     if bob_name not in bobs:
         raise ConfigError(f"unknown adversary {bob_name!r}")
@@ -300,7 +306,7 @@ def cmd_play(args) -> int:
 
 def cmd_analyze_seq(args) -> int:
     cfg = _load_config(args.config)
-    seq = _build_sequence(cfg["sequence"])
+    seq = _build_sequence(_object(cfg, "sequence"))
     horizon = 60 if args.horizon is None else args.horizon
     if horizon < 2:
         raise ConfigError(f"--horizon must be >= 2, got {horizon}")
@@ -325,7 +331,7 @@ def cmd_analyze_seq(args) -> int:
 
 def cmd_estimate_decay(args) -> int:
     cfg = _load_config(args.config)
-    support = _build_support(cfg["support"])
+    support = _build_support(_object(cfg, "support"))
     seed = _seed(args)
     region = Ball(
         tuple(Fraction(0) for _ in range(support.dim)), Fraction(1)
@@ -352,7 +358,7 @@ def cmd_estimate_decay(args) -> int:
 
 def cmd_badapprox(args) -> int:
     cfg = _load_config(args.config)
-    bcfg = cfg["badapprox"]
+    bcfg = _object(cfg, "badapprox")
     A = _build_affine(bcfg)
     rank_bound = _int(bcfg.get("rank_bound", 100))
     q_bound = _int(bcfg.get("q_bound", 10 ** 4))

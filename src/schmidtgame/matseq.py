@@ -334,13 +334,13 @@ def _sign_normalized(v: Tuple[Interval, ...]) -> Tuple[Interval, ...]:
     return v
 
 
-def _gram_top_eigenvalue(N: IntMatrix, D: int, rel_bits: int) -> Tuple[Interval, bool]:
+def _gram_top_eigenvalue(N: IntMatrix, D: int) -> Tuple[Interval, bool]:
     """Enclose the top eigenvalue of M^T M for M = N / D; flag exact rationals."""
     if not any(x for row in N for x in row):
         raise ValueError("zero matrix has no direction")
     if len(N) == 1:
         return Interval.point(Fraction(sum(x * x for x in N[0]), D * D)), True
-    return _top_eigenvalue(_product(transpose(N), N), D * D, rel_bits)
+    return _top_eigenvalue(_product(transpose(N), N), D * D)
 
 
 def _singular_value(lam: Interval, exact: bool) -> Interval:
@@ -400,19 +400,19 @@ def _top_direction(N: IntMatrix, D: int, lam: Interval, exact: bool) -> Tuple[In
     return _sign_normalized(tuple(Interval.point(c) / nrm for c in basis[0]))
 
 
-def operator_norm(M, rel_bits: int = _REL_BITS) -> Tuple[Interval, Tuple[Interval, ...]]:
+def operator_norm(M) -> Tuple[Interval, Tuple[Interval, ...]]:
     """Certified enclosure of the largest singular value and a top direction.
 
-    Returns (t, v) with t enclosing ||M||_op at relative width < 2^-rel_bits
+    Returns (t, v) with t enclosing ||M||_op at relative width < 2^-_REL_BITS
     and v a unit top right singular direction, sign-normalized so the first
     certainly-nonzero coordinate is positive.
     """
     N, D = _integer_form(as_matrix(M))
-    lam, exact = _gram_top_eigenvalue(N, D, rel_bits)
+    lam, exact = _gram_top_eigenvalue(N, D)
     return _singular_value(lam, exact), _top_direction(N, D, lam, exact)
 
 
-def _top_eigenvalue(G: IntMatrix, E: int, rel_bits: int) -> Tuple[Interval, bool]:
+def _top_eigenvalue(G: IntMatrix, E: int) -> Tuple[Interval, bool]:
     """Enclose the top eigenvalue of symmetric PSD A = G / E; flag exact rationals.
 
     The Rayleigh quotient r of a rationalised float eigenvector is a lower
@@ -427,12 +427,12 @@ def _top_eigenvalue(G: IntMatrix, E: int, rel_bits: int) -> Tuple[Interval, bool
     above, mult = _inertia(G, E, r)
     if above == 0 and mult > 0:
         return Interval.point(r), True
-    upper = r * (1 + Fraction(1, 1 << rel_bits)) + Fraction(1, 1 << (2 * rel_bits))
+    upper = r * (1 + Fraction(1, 1 << _REL_BITS)) + Fraction(1, 1 << (2 * _REL_BITS))
     if r > 0 and above > 0 and _inertia(G, E, upper)[0] == 0:
         return Interval(r, upper), False
     # the top eigenvalue stays in (lo, hi]: above(lo) > 0 = above(hi)
     lo, hi = Fraction(0), Fraction(max(sum(abs(a) for a in row) for row in G), E)
-    for _ in range(4 * rel_bits + hi.numerator.bit_length()):
+    for _ in range(4 * _REL_BITS + hi.numerator.bit_length()):
         mid = (lo + hi) / 2
         above, mult = _inertia(G, E, mid)
         if above == 0 and mult > 0:
@@ -441,7 +441,7 @@ def _top_eigenvalue(G: IntMatrix, E: int, rel_bits: int) -> Tuple[Interval, bool
             lo = mid
         else:
             hi = mid
-        if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << rel_bits):
+        if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << _REL_BITS):
             break
     return Interval(lo, hi), False
 
@@ -544,7 +544,7 @@ class MatrixSequence:
     def t(self, k: int) -> Interval:
         """||M_k||_op, certified; the top direction is not computed."""
         if k not in self._t_cache:
-            lam, exact = _gram_top_eigenvalue(*self._integer(k), _REL_BITS)
+            lam, exact = _gram_top_eigenvalue(*self._integer(k))
             self._eig_cache[k] = lam, exact
             self._t_cache[k] = _singular_value(lam, exact)
         return self._t_cache[k]
@@ -641,40 +641,17 @@ def _unipotent(P: Matrix) -> bool:
 
 def kronecker_order(M) -> Optional[int]:
     """Least N >= 1 with M^N unipotent, for nonsingular integer M with all
-    eigenvalue moduli <= 1; None when the precondition fails."""
+    eigenvalue moduli <= 1; None when the precondition fails.  Under it every
+    eigenvalue is a root of unity (Kronecker, 1857), so the search ends."""
     M = as_matrix(M)
     if any(x.denominator != 1 for row in M for x in row):
         raise ValueError("integer matrix required")
-    n = mat_shape(M)[0]
-    if charpoly(M)[0] == 0:
+    if charpoly(M)[0] == 0 or spectral_radius_gt_one(M):
         return None
-    if spectral_radius_gt_one(M):
-        return None
-    # admissible cyclotomic orders d have phi(d) <= n
-    def phi(d: int) -> int:
-        out = d
-        x = d
-        p = 2
-        while p * p <= x:
-            if x % p == 0:
-                while x % p == 0:
-                    x //= p
-                out -= out // p
-            p += 1
-        if x > 1:
-            out -= out // x
-        return out
-
-    orders = [d for d in range(1, 6 * n * n + 7) if phi(d) <= n]
-    bound = 1
-    for d in orders:
-        bound = bound * d // math.gcd(bound, d)
-    P = M
-    for N in range(1, bound + 1):
-        if _unipotent(P):
-            return N
-        P = mat_mul(P, M)
-    return None
+    P, N = M, 1
+    while not _unipotent(P):
+        P, N = mat_mul(P, M), N + 1
+    return N
 
 
 def invariant_hyperplane_family(M, N: int) -> Tuple[Vec, Interval]:

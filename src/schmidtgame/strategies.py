@@ -7,20 +7,20 @@ pays for the candidate mesh), floats pre-screen the candidates and the
 winner's clearances are re-certified exactly.  The scheduled strategy plays
 epochs of r avoidance rounds, each epoch retiring every constraint whose
 norm t_k falls in the current window, and emits exact disjointness
-certificates at epoch boundaries.
+certificates at epoch boundaries.  Every scan over the indices k walks the
+norms through `_norms`, which alone decides where an unbounded walk ends.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .engine import GameConfig, GameTranscript, Player, Variant, limit_margin
-from .exact import frac, sqrt_interval
+from .exact import Interval, frac, sqrt_interval
 from .geometry import (
     Ball,
     SlabConstraint,
@@ -259,31 +259,27 @@ class EpochConstraint:
     cert_slab: SlabConstraint  # halfwidth c/t_k (final certificate)
 
 
-def _indices(seq: MatrixSequence) -> Iterable[int]:
-    """k = 1, 2, ...: to the end of a finite sequence, else without end."""
-    return range(1, len(seq) + 1) if seq.finite else itertools.count(1)
+_NORM_GUARD = 8  # norms in a row certainly at or past the cap that end an unbounded walk
+_NORM_LIMIT = 10000  # the last index an unbounded walk reads
 
 
-_WINDOW_GUARD = 8  # consecutive norms past the window that end an unbounded scan
-
-
-def _window_indices(seq: MatrixSequence, lo_cap: Fraction, hi_cap: Fraction) -> List[int]:
-    """Indices k whose norm enclosure meets [lo_cap, hi_cap)."""
-    out = []
+def _norms(seq: MatrixSequence, cap: Fraction) -> Iterator[Tuple[int, Interval]]:
+    """(k, t_k) for k = 1, 2, ...: every index of a finite sequence; an
+    unbounded one ends after _NORM_GUARD norms in a row with t_k.lo >= cap,
+    or raises CertificateError if it has not ended by k = _NORM_LIMIT."""
+    if seq.finite:
+        yield from ((k, seq.t(k)) for k in range(1, len(seq) + 1))
+        return
     beyond = 0
-    for k in _indices(seq):
+    for k in range(1, _NORM_LIMIT + 1):
         t = seq.t(k)
-        if t.hi >= lo_cap and t.lo < hi_cap:
-            out.append(k)
-        if t.lo >= hi_cap:
-            beyond += 1
-            if not seq.finite and beyond >= _WINDOW_GUARD:
-                break
-        else:
-            beyond = 0
-        if not seq.finite and k > 100000:
-            raise CertificateError("window scan did not terminate")
-    return out
+        yield k, t
+        beyond = beyond + 1 if t.lo >= cap else 0
+        if beyond == _NORM_GUARD:
+            return
+    raise CertificateError(
+        f"the norm walk to the cap {_float(cap):.3g} does not end by k = {_NORM_LIMIT}"
+    )
 
 
 def _constraint_for_index(
@@ -351,10 +347,11 @@ def epoch_constraints(
     hi_cap = (1 / ab) ** (r * j)
     zeta = ab ** (r * (j + 1) - 1) * params.rho
     out = []
-    for k in _window_indices(seq, lo_cap, hi_cap):
-        ec = _constraint_for_index(ball, seq, targets, params.c, zeta, k)
-        if ec is not None:
-            out.append(ec)
+    for k, t in _norms(seq, hi_cap):
+        if t.hi >= lo_cap and t.lo < hi_cap:
+            ec = _constraint_for_index(ball, seq, targets, params.c, zeta, k)
+            if ec is not None:
+                out.append(ec)
     if len(out) > params.N:
         raise CertificateError(
             f"epoch {j} produced {len(out)} constraints, schedule allows {params.N}"
@@ -406,20 +403,13 @@ class Theorem42Alice:
     def _initial_escapes(self, ball: Ball) -> List[EpochConstraint]:
         """Constraints with t_k certainly below 1 that meet the initial ball."""
         out = []
-        for k in _indices(self.seq):
-            t = self.seq.t(k)
-            if t.lo >= 1:
-                if not self.seq.finite:
-                    break
-                continue
-            if t.hi >= 1:
-                continue  # straddles 1; epoch 1's window picks it up
-            ec = _constraint_for_index(
-                ball, self.seq, self.targets, self.params.c, ball.radius, k
-            )
-            if ec is not None:
-                out.append(ec)
-                self.handled_k.add(k)
+        for k, t in _norms(self.seq, 1):
+            if t.hi < 1:  # a t_k straddling 1 is left to epoch 1's window
+                ec = _constraint_for_index(
+                    ball, self.seq, self.targets, self.params.c, ball.radius, k
+                )
+                if ec is not None:
+                    out.append(ec)
         return out
 
     def propose(self, transcript: GameTranscript, outer: Ball) -> Tuple[Ball, Dict]:
@@ -597,19 +587,9 @@ def intersect_strategies(strategies: Sequence, alpha: Fraction):
 
 def certified_horizon(seq: MatrixSequence, cap: Fraction) -> int:
     """Largest k with t_k certainly below cap: the indices a final margin
-    certifies.  An infinite sequence is scanned until 8 indices in a row
-    miss the cap, or past k = 10000."""
-    out = misses = 0
-    for k in _indices(seq):
-        if seq.t(k).hi < cap:
-            out, misses = k, 0
-        else:
-            misses += 1
-            if not seq.finite and misses >= 8:
-                break
-        if not seq.finite and k > 10000:
-            break
-    return out
+    certifies.  Raises CertificateError where the walk over the norms of
+    an unbounded sequence does not end."""
+    return max((k for k, t in _norms(seq, cap) if t.hi < cap), default=0)
 
 
 @dataclass(frozen=True)

@@ -131,11 +131,13 @@ class TestPlay:
             ("game", {"beta": "1"}, "beta must be in (0, 1), got 1"),
             ("game", {"alpha": "0"}, "alpha must be in (0, 1), got 0"),
             ("game", {"alpha": "1"}, "alpha must be in (0, 1), got 1"),
+            ("game", {"epochs": 1.5}, "not an integer: 1.5"),
         ],
         ids=[
             "zero_delta", "no_points", "points_list", "point_list_number",
             "points_within_delta",
             "beta_zero", "beta_negative", "beta_one", "alpha_zero", "alpha_one",
+            "epochs_float",
         ],
     )
     def test_out_of_range_exit_4(self, tmp_path, capsys, section, value, message):
@@ -379,10 +381,13 @@ class TestMalformedSequence:
             ({"kind": "explicit", "matrices": [[["1", "0"]], [["1"]]]}, "must have equal shapes"),
             ({"kind": "powers", "base": 5}, "sequence: 'int' object is not iterable"),
             ({"kind": "rows", "rows": ["12", "35"]}, "not a list of exact rationals: '12'"),
+            ("x", "sequence is not an object: 'x'"),
+            ([["3"]], "sequence is not an object: [['3']]"),
         ],
         ids=[
             "ragged", "empty", "non_square", "zero_row", "zero_matrix", "mixed_shapes",
             "number", "string_rows",
+            "string_section", "list_section",
         ],
     )
     def test_exit_4(self, tmp_path, capsys, sequence, message):
@@ -427,6 +432,49 @@ class TestMalformedSequence:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and message in err
             assert len(err.strip().splitlines()) == 1
+
+
+class TestNonObjectSection:
+    @pytest.mark.parametrize(
+        "name, path, value, message",
+        [
+            ("pow3_classic.json", (), [1], "is not an object"),
+            ("pow3_classic.json", ("game",), [1], "game is not an object: [1]"),
+            ("pow3_classic.json", ("support",), "x", "support is not an object: 'x'"),
+            ("pow3_classic.json", ("support", "decay"), [1], "decay is not an object: [1]"),
+            ("pow3_classic.json", ("targets",), "x", "targets is not an object: 'x'"),
+            ("pow3_classic.json", ("strategy",), [1], "strategy is not an object: [1]"),
+            ("badapprox_sqrt2.json", (), "x", "is not an object"),
+            ("badapprox_sqrt2.json", ("badapprox",), [1], "badapprox is not an object: [1]"),
+        ],
+        ids=["config", "game", "support", "decay", "targets", "strategy",
+             "badapprox_config", "badapprox"],
+    )
+    def test_exit_4(self, tmp_path, capsys, name, path, value, message):
+        cfg = json.loads(open(config(name)).read())
+        if path:
+            section = cfg
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+        else:
+            cfg = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        if name.startswith("badapprox"):
+            argvs = [["badapprox", "--config", str(bad)]]
+        else:
+            argvs = [
+                ["play", "--config", str(bad), "--out", str(tmp_path / "out")],
+                ["verify", str(tmp_path / "transcript.jsonl"), "--config", str(bad)],
+            ]
+        for argv in argvs:
+            assert main(argv) == 4, argv[0]
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedSupport:
@@ -727,6 +775,8 @@ class TestBadapproxCmd:
             # value updates several keys)
             ("badapprox_sqrt2.json", None, {"A": [["1/7"]], "rank_bound": 5}, "rank_bound 5"),
             ("badapprox_sqrt2.json", None, {"A": [["1/70"]], "rank_bound": 50}, "rank_bound 50"),
+            ("badapprox_rational.json", "q_bound", 1.5, "not an integer: 1.5"),
+            ("badapprox_sqrt2.json", "count", 2.0, "not an integer: 2.0"),
         ],
     )
     def test_malformed_input_exit_4(self, tmp_path, capsys, name, key, value, message):

@@ -310,7 +310,7 @@ class TestLazyDirection:
 
         monkeypatch.setattr(matseq, "_rayleigh", poor)
         A = mat_mul(transpose(DENSE), DENSE)
-        lam, exact = matseq._top_eigenvalue(tuple(tuple(int(a) for a in row) for row in A), 1, 48)
+        lam, exact = matseq._top_eigenvalue(tuple(tuple(int(a) for a in row) for row in A), 1)
         assert not exact and lam.lo > A[0][0]
         assert lam.width / lam.lo < F(1, 1 << 48)
         p, chain, bound = _squarefree_sturm(charpoly(A))
@@ -882,6 +882,125 @@ class TestKronecker:
             P = mat_pow(M, N)
             D = mat_sub(P, identity(2))
             assert mat_mul(D, D) == ((F(0), F(0)), (F(0), F(0)))
+
+
+def _reference_kronecker_order(M):
+    """kronecker_order with its search bounded by the lcm of every order d
+    with phi(d) <= n, the cyclotomic factors an n x n integer matrix admits."""
+    M = matseq.as_matrix(M)
+    if any(x.denominator != 1 for row in M for x in row):
+        raise ValueError("integer matrix required")
+    n = len(M)
+    if charpoly(M)[0] == 0:
+        return None
+    if spectral_radius_gt_one(M):
+        return None
+
+    def phi(d):
+        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+    bound = 1
+    for d in range(1, 6 * n * n + 7):
+        if phi(d) <= n:
+            bound = bound * d // math.gcd(bound, d)
+    P = M
+    for N in range(1, bound + 1):
+        if matseq._unipotent(P):
+            return N
+        P = mat_mul(P, M)
+    return None
+
+
+# Phi_m for phi(m) <= 4, ascending coefficients
+CYCLOTOMIC = {
+    1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 6: [1, -1, 1],
+    5: [1, 1, 1, 1, 1], 8: [1, 0, 0, 0, 1], 10: [1, -1, 1, -1, 1], 12: [1, 0, -1, 0, 1],
+}
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return tuple(map(tuple, out))
+
+
+def _companion(p):
+    d = len(p) - 1
+    return tuple(
+        tuple(F(-p[i]) if j == d - 1 else F(int(j == i - 1)) for j in range(d))
+        for i in range(d)
+    )
+
+
+def _unimodular_pair(rng, n):
+    """(U, U^-1) for a product of seeded elementary integer row operations."""
+    def add(i, j, c):  # I + c e_i e_j^T, i != j, whose inverse is add(i, j, -c)
+        return tuple(
+            tuple(F(int(a == b) + (c if (a, b) == (i, j) else 0)) for b in range(n))
+            for a in range(n)
+        )
+
+    U, V = identity(n), identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U, V = mat_mul(add(i, j, c), U), mat_mul(V, add(i, j, -c))
+    return U, V
+
+
+def _seeded_finite_orders(seed):
+    """(M, order) for signed permutations and conjugated cyclotomic
+    companions of sizes 2 to 4; every order is at most 12."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        M = tuple(tuple(F(signs[i] * int(perm[i] == j)) for j in range(n)) for i in range(n))
+        order, seen = 1, set()
+        for start in range(n):
+            if start in seen:
+                continue
+            length, sign, i = 0, 1, start
+            while i not in seen:
+                seen.add(i)
+                length, sign, i = length + 1, sign * signs[i], perm[i]
+            cycle = length if sign == 1 else 2 * length
+            order = order * cycle // math.gcd(order, cycle)
+        out.append((M, order))
+    while len(out) < 20:
+        ms = [rng.choice(sorted(CYCLOTOMIC)) for _ in range(rng.randint(1, 3))]
+        blocks = [_companion(CYCLOTOMIC[m]) for m in ms]
+        n = sum(len(b) for b in blocks)
+        if not 2 <= n <= 4:
+            continue
+        U, V = _unimodular_pair(rng, n)
+        order = 1
+        for m in ms:
+            order = order * m // math.gcd(order, m)
+        out.append((mat_mul(mat_mul(U, _block_diagonal(blocks)), V), order))
+    return out
+
+
+class TestKroneckerOrderAgainstBoundedSearch:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_matches_reference(self, seed):
+        orders = set()
+        for M, order in _seeded_finite_orders(seed):
+            assert kronecker_order(M) == _reference_kronecker_order(M) == order, M
+            orders.add(order)
+        assert max(orders) >= 8
+
+    def test_precondition_failures_match_reference(self):
+        for M in (((F(2),),), ((F(0), F(0)), (F(0), F(0)))):
+            assert kronecker_order(M) is _reference_kronecker_order(M) is None
 
 
 class TestInvariantHyperplane:

@@ -1,5 +1,6 @@
 """Schedules, avoidance moves, epoch constraints, and adversaries."""
 
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from typing import List, Optional, Sequence, Tuple
 
 from schmidtgame import cli
+from schmidtgame import strategies
 from schmidtgame.engine import GameConfig, Variant, run_game, validate_transcript
 from schmidtgame.geometry import (
     Ball, DimensionMismatch, SlabConstraint, Vec, dist2, dot, norm2,
@@ -30,6 +32,7 @@ from schmidtgame.strategies import (
     avoidance_move,
     bob_adversaries,
     certified_game,
+    certified_horizon,
     epoch_constraints,
     intersect_strategies,
     schedule_params,
@@ -537,6 +540,170 @@ class TestEpochConstraints:
         ball = Ball((F(1, 6),), p.rho * F(1, 8) ** 6)
         for ec in epoch_constraints(ball, seq, targets, p, 1, F(1, 4), F(1, 2)):
             assert ec.cert_slab.halfwidth <= ec.slab.halfwidth
+
+
+# ---------------------------------------------------------------------------
+# the index scans as they ran before one norm walk served them all: each with
+# its own stopping rule
+
+
+def _reference_window_indices(seq, lo_cap, hi_cap):
+    out, beyond = [], 0
+    for k in range(1, len(seq) + 1) if seq.finite else itertools.count(1):
+        t = seq.t(k)
+        if t.hi >= lo_cap and t.lo < hi_cap:
+            out.append(k)
+        if t.lo >= hi_cap:
+            beyond += 1
+            if not seq.finite and beyond >= 8:
+                break
+        else:
+            beyond = 0
+        if not seq.finite and k > 100000:
+            raise CertificateError("window scan did not terminate")
+    return out
+
+
+def _reference_horizon(seq, cap):
+    out = misses = 0
+    for k in range(1, len(seq) + 1) if seq.finite else itertools.count(1):
+        if seq.t(k).hi < cap:
+            out, misses = k, 0
+        else:
+            misses += 1
+            if not seq.finite and misses >= 8:
+                break
+        if not seq.finite and k > 10000:
+            break
+    return out
+
+
+def _reference_pre_stage_indices(seq):
+    out = []
+    for k in range(1, len(seq) + 1) if seq.finite else itertools.count(1):
+        t = seq.t(k)
+        if t.lo >= 1:
+            if not seq.finite:
+                break
+            continue
+        if t.hi >= 1:
+            continue
+        out.append(k)
+    return out
+
+
+def _rat(rng, top):
+    return F(rng.randint(-top, top), rng.randint(1, 6))
+
+
+def _seeded_walk_sequences(seed):
+    """Powers of 1x1 bases (negative ones among them), of diagonal 2x2 and of
+    dense 2x2 bases with spectral radius above 3/2, and explicit and rows
+    sequences whose norms rise and fall."""
+    import numpy as np
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(4):
+        b = F(rng.randint(7, 30), rng.randint(2, 6))
+        out.append(MatrixSequence.powers(((b * rng.choice((-1, 1)),),)))
+    while len(out) < 7:
+        a, b = _rat(rng, 12), _rat(rng, 12)
+        if max(abs(a), abs(b)) > 1:
+            out.append(MatrixSequence.powers(((a, F(0)), (F(0), b))))
+    while len(out) < 10:
+        M = tuple(tuple(_rat(rng, 9) for _ in range(2)) for _ in range(2))
+        if max(abs(np.linalg.eigvals(np.array(M, dtype=float)))) > 1.5:
+            out.append(MatrixSequence.powers(M))
+    out.append(MatrixSequence.explicit([
+        tuple(tuple(_rat(rng, 9) * F(2) ** rng.randint(-12, 8) + F(1, 70) for _ in range(2))
+              for _ in range(2))
+        for _ in range(12)
+    ]))
+    out.append(MatrixSequence.rows([
+        [_rat(rng, 9) * F(2) ** rng.randint(-12, 8) + F(1, 90) for _ in range(3)]
+        for _ in range(12)
+    ]))
+    return out
+
+
+class TestNormWalk:
+    """Windows, horizons and pre-stage indices from the one norm walk match
+    the three loops it replaced."""
+
+    AB = (F(1, 4), F(1, 2))
+    PARAMS = ScheduleParams(
+        Q=F(3), epsilon=F(1, 3), N=10 ** 6, r=2, rho=F(1, 40), c=F(1, 1000), delta=F(1)
+    )
+
+    @staticmethod
+    def _visited(monkeypatch):
+        """Record the indices passed to _constraint_for_index, which builds none."""
+        seen = []
+
+        def record(ball, seq, targets, c, zeta, k):
+            seen.append(k)
+            return None
+
+        monkeypatch.setattr(strategies, "_constraint_for_index", record)
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_windows_match_reference(self, monkeypatch, seed):
+        seen = self._visited(monkeypatch)
+        alpha, beta = self.AB
+        for seq in _seeded_walk_sequences(seed):
+            dim = len(seq.matrix(1)[0])
+            ball = Ball((F(0),) * dim, F(1, 40))
+            targets = TargetFamily.lattice([F(1, 2)] * len(seq.matrix(1)))
+            for j in (1, 2, 3):
+                seen.clear()
+                assert epoch_constraints(ball, seq, targets, self.PARAMS, j, alpha, beta) == []
+                lo_cap, hi_cap = F(8) ** (2 * (j - 1)), F(8) ** (2 * j)
+                assert seen == _reference_window_indices(seq, lo_cap, hi_cap), (seq, j)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_horizon_matches_reference(self, seed):
+        caps = (F(1, 2), F(1), F(3), F(64), F(10 ** 4), F(8) ** 6, F(8) ** 12)
+        for seq in _seeded_walk_sequences(seed):
+            for cap in caps:
+                assert certified_horizon(seq, cap) == _reference_horizon(seq, cap), (seq, cap)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_pre_stage_matches_reference(self, monkeypatch, seed):
+        seen = self._visited(monkeypatch)
+        alpha, beta = self.AB
+        found = 0
+        for seq in _seeded_walk_sequences(seed):
+            dim = len(seq.matrix(1)[0])
+            K = SupportModel.euclidean(dim, DecayParams(C=F(1), gamma=F(1), ambient_dim=dim))
+            targets = TargetFamily.lattice([F(1, 2)] * len(seq.matrix(1)))
+            alice = Theorem42Alice(self.PARAMS, seq, targets, K, alpha, beta)
+            seen.clear()
+            assert alice._initial_escapes(Ball((F(0),) * dim, F(1, 40))) == []
+            assert seen == _reference_pre_stage_indices(seq), seq
+            found += len(seen)
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "config, base",
+        [("pow3_classic.json", [["1/2"]]), ("dim2_classic.json", [["1", "1"], ["0", "1"]])],
+        ids=["contracting", "unipotent"],
+    )
+    def test_walk_without_end_fails_before_play(self, tmp_path, capsys, config, base):
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", config)) as fh:
+            cfg = json.load(fh)
+        cfg["sequence"]["base"] = base
+        inputs = cli._game_inputs(cfg, None)
+        with pytest.raises(CertificateError, match="does not end by k = 10000"):
+            certified_game(**inputs)
+        assert len(inputs["seq"]._t_cache) <= 10000
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["play", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("game failure:"), err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStrongWrapper:
