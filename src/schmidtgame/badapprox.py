@@ -1,7 +1,7 @@
 """Badly approximable affine forms.
 
-The rational case is settled by a finite search for an integer vector u
-with A^T u integral; the excluded set is then the hyperplane family
+The rational case is settled on an echelon basis of the lattice of u in
+Z^n with A^T u integral; the excluded set is then the hyperplane family
 u.x in Z.  The irrational case builds the best-approximation denominator
 sequence (continued fractions when n = m = 1, exhaustive successive
 minima otherwise), thins it to ratio >= 3, and hands the resulting row
@@ -297,8 +297,28 @@ def _int_vectors(dim: int, bound: int):
         yield from _shell(dim, r)
 
 
+def _lex_first(H, r: int, k: int, s: List[int]) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first point in [-r, r]^n of the lattice with upper
+    triangular basis H that agrees with s before coordinate k, or None."""
+    if k == len(H):
+        return tuple(s)
+    for c in range(-((r + s[k]) // H[k][k]), (r - s[k]) // H[k][k] + 1):
+        u = _lex_first(H, r, k + 1, [a + c * b for a, b in zip(s, H[k])])
+        if u is not None:
+            return u
+    return None
+
+
 def rational_rank_check(A: AffineSystem, bound: int) -> Optional[Tuple[int, ...]]:
-    """Smallest 0 != u in Z^n with ||u||_inf <= bound and A^T u in Z^m.
+    """Smallest 0 != u in Z^n with ||u||_inf <= bound and A^T u in Z^m: least
+    sup-norm, then lexicographically first up to sign, first nonzero entry > 0.
+
+    With N = D A over the common denominator D, the echelon form of the rows
+    (N_i | e_i), (D e_j | 0) ends in n rows that vanish on the first m columns
+    and there span the lattice L of such u.  As L = -L, the lexicographically
+    first point of L in a box is negative exactly when the box holds a nonzero
+    point.  Doubling the box's radius, then bisecting the last step, finds the
+    least sup-norm, so no walk looks past radius 2 ||u||_inf.
 
     Integrality is only certifiable from exact rational data; enclosure
     entries make the answer None.
@@ -307,19 +327,24 @@ def rational_rank_check(A: AffineSystem, bound: int) -> Optional[Tuple[int, ...]
         raise ValueError("bound must be >= 1")
     if not A.is_rational:
         return None
-    rat = A.rational_entries()
-    for u in _int_vectors(A.n, bound):
-        good = True
-        for j in range(A.m):
-            s = sum(rat[i][j] * u[i] for i in range(A.n))
-            if s.denominator != 1:
-                good = False
-                break
-        if good:
-            if next((c for c in u if c != 0), 0) < 0:
-                u = tuple(-c for c in u)
-            return u
-    return None
+    n, m = A.n, A.m
+    N, D = over_common_den([e for row in A.rational_entries() for e in row])
+    rows = [list(N[i * m:(i + 1) * m]) + [int(i == k) for k in range(n)] for i in range(n)]
+    rows += [[D * (j == k) for k in range(m)] + [0] * n for j in range(m)]
+    for c in range(n + m):
+        for i in range(c + 1, n + m):
+            while rows[i][c]:  # Euclid on rows c and i: unimodular
+                q = rows[c][c] // rows[i][c]
+                rows[c], rows[i] = rows[i], [a - q * b for a, b in zip(rows[c], rows[i])]
+        if rows[c][c] < 0:  # the walk needs a positive diagonal
+            rows[c] = [-a for a in rows[c]]
+    H = [row[m:] for row in rows[m:]]
+    lo, hi, u = 0, 0, (0,) * n  # only 0 lies in [-lo, lo]^n; u is the walk at hi
+    while hi - lo > 1 if any(u) else hi < bound:  # double the radius, then bisect
+        r = (lo + hi) // 2 if any(u) else min(max(2 * hi, 1), bound)
+        v = _lex_first(H, r, 0, [0] * n)
+        lo, hi, u = (lo, r, v) if any(v) else (r, max(r, hi), u)
+    return tuple(-c for c in u) if any(u) else None
 
 
 @dataclass(frozen=True)

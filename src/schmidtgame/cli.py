@@ -10,6 +10,7 @@ configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,6 +179,9 @@ def _build_targets(cfg: Dict) -> TargetFamily:
 
 def _entry(e) -> ba.Entry:
     if isinstance(e, dict):
+        # a string would be read digit by digit: "102" as 1 + 2x^2
+        if not isinstance(e["poly"], list):
+            raise ConfigError(f"poly is not a list of integers: {e['poly']!r}")
         poly = tuple(_int(c) for c in e["poly"])
         try:
             return ba.AlgebraicReal(poly, _num(e["lo"]), _num(e["hi"]))
@@ -430,7 +434,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once: parse_args never changes it."""
     parser = _Parser(prog="schmidtgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -461,7 +467,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             p.add_argument(option, **options[option])
         p.set_defaults(fn=fn)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, KeyError, OSError) as e:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +128,112 @@ class TestRationalRank:
     def test_irrational_none(self):
         A = AffineSystem(((sqrt2(),),))
         assert rational_rank_check(A, 32) is None
+
+
+def _scan_rank_check(A, bound):
+    """The reference: every integer vector by sup-norm shell, then
+    lexicographic, with Fraction sums; the first hit, signed so that its
+    first nonzero entry is positive."""
+    rat = A.rational_entries()
+    for u in _int_vectors(A.n, bound):
+        good = True
+        for j in range(A.m):
+            s = sum(rat[i][j] * u[i] for i in range(A.n))
+            if s.denominator != 1:
+                good = False
+                break
+        if good:
+            if next((c for c in u if c != 0), 0) < 0:
+                u = tuple(-c for c in u)
+            return u
+    return None
+
+
+_P = 10 ** 12 + 39  # a prime: over it the echelon basis has one large pivot
+
+
+def _seeded_rational(rng, n, m):
+    den = rng.choice([1, 2, 3, 4, 6, 7, 10, 12, 30, 97, _P])
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            rows.append((F(0),) * m)  # a zero row: u = e_i
+        elif rows and rng.random() < 0.1:
+            rows.append(tuple(-e for e in rng.choice(rows)))  # a negated row: u = e_i + e_j
+        elif den == _P:
+            rows.append(tuple(F(rng.randint(-2 * den, 2 * den), den) for _ in range(m)))
+        else:
+            rows.append(tuple(F(rng.randint(-2 * den, 2 * den), rng.randint(1, den)) for _ in range(m)))
+    return AffineSystem(tuple(rows))
+
+
+class TestLatticeRankCheck:
+    """rational_rank_check walks an echelon basis of {u : A^T u in Z^m}; it
+    must return what the scan of every integer vector returns."""
+
+    def test_matches_scan(self):
+        rng = random.Random("rational_rank_check")
+        seen = {"none": 0, "integer": 0, "zero_row": 0, "negative": 0, "large_pivot": 0}
+        for trial in range(3000):
+            n, m = 1 + trial % 4, rng.randint(1, 3)
+            # the scan visits (2 bound + 1)^n vectors when there is no u
+            bound = rng.randint(1, (30, 20, 5, 3)[n - 1])
+            A = _seeded_rational(rng, n, m)
+            expect = _scan_rank_check(A, bound)
+            assert rational_rank_check(A, bound) == expect, (A.entries, bound)
+            rat = A.rational_entries()
+            seen["none"] += expect is None
+            seen["integer"] += all(e.denominator == 1 for row in rat for e in row)
+            seen["zero_row"] += any(not any(row) for row in rat)
+            seen["negative"] += any(e < 0 for row in rat for e in row)
+            seen["large_pivot"] += any(e.denominator == _P for row in rat for e in row)
+        assert min(seen.values()) >= 50, seen
+
+    def test_short_u_beside_large_pivot(self):
+        # a zero or negated row gives a u of sup-norm 1, so the scan stops at
+        # shell 1 even at bound 100; a walk of the whole box [-100, 100]^n
+        # would visit about 100 * 201^(n-2) nodes over the pivot p
+        rng = random.Random("short u, large pivot")
+        t0 = time.perf_counter()
+        for trial in range(400):
+            n, m = 2 + trial % 4, rng.randint(1, 3)
+            rows = [tuple(F(rng.randint(-2 * _P, 2 * _P), _P) for _ in range(m)) for _ in range(n - 1)]
+            i = rng.randrange(n)
+            rows.insert(i, (F(0),) * m if trial % 8 < 4 else tuple(-e for e in rows[i - 1]))
+            A = AffineSystem(tuple(rows))
+            expect = _scan_rank_check(A, 100)
+            assert expect is not None and max(map(abs, expect)) == 1
+            assert rational_rank_check(A, 100) == expect, (A.entries,)
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize(
+        "column, u",
+        [
+            ((1, 0, 123457, 98765431), (0, 1, 0, 0)),
+            ((1, 0, 123457, 98765431, 55555333331), (0, 1, 0, 0, 0)),
+        ],
+        ids=["4x1", "5x1"],
+    )
+    def test_zero_row_over_large_pivot(self, column, u):
+        A = AffineSystem(tuple((F(a, _P),) for a in column))
+        t0 = time.perf_counter()
+        assert rational_rank_check(A, 100) == u
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            (F(1, 101), F(1, 103), F(1, 107)),
+            (F(1, 201), F(1, 201 ** 2), F(1, 201 ** 3)),
+        ],
+        ids=["three_primes", "powers_of_201"],
+    )
+    def test_no_small_u_answers_fast(self, column):
+        # the scan would visit 201^3 = 8.1M vectors before saying None
+        A = AffineSystem(tuple((a,) for a in column))
+        t0 = time.perf_counter()
+        assert rational_rank_check(A, 100) is None
+        assert time.perf_counter() - t0 < 5
 
 
 class TestRationalCaseSet:

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from schmidtgame import cli
 from schmidtgame.cli import main
 from schmidtgame.matseq import DegenerateDirection, MatrixSequence
 
@@ -201,6 +202,28 @@ class TestUsage:
         flags = {"--config", "--seed", "--out", "--mode", "--epochs", "--horizon",
                  "--jordan", "--trials"}
         assert {f for f in flags if f in out} == set(options)
+
+
+class TestParserReuse:
+    """main parses with one parser per process; parse_args leaves it as built."""
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_usage_error_leaves_parser_intact(self, capsys):
+        names = ("badapprox_rational.json", "badapprox_sqrt2.json", "badapprox_sqrt2_sqrt3.json")
+        cli._parser.cache_clear()
+        first = []
+        for name in names:  # the first of these builds the parser
+            assert main(["badapprox", "--config", config(name)]) == 0
+            first.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["badapprox", "--config", config(names[0]), "--seed", "3"])
+        assert exc.value.code == 4
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        for name, out in zip(names, first):
+            assert main(["badapprox", "--config", config(name)]) == 0
+            assert capsys.readouterr().out == out
 
 
 class TestVerify:
@@ -777,6 +800,10 @@ class TestBadapproxCmd:
             ("badapprox_sqrt2.json", None, {"A": [["1/70"]], "rank_bound": 50}, "rank_bound 50"),
             ("badapprox_rational.json", "q_bound", 1.5, "not an integer: 1.5"),
             ("badapprox_sqrt2.json", "count", 2.0, "not an integer: 2.0"),
+            # a number or a string where the coefficient list belongs (appended
+            # so the existing ids keep their numbers)
+            ("badapprox_sqrt2.json", "A", [[{"poly": 5, "lo": "1", "hi": "2"}]], "poly is not a list"),
+            ("badapprox_sqrt2.json", "A", [[{"poly": "102", "lo": "1", "hi": "2"}]], "poly is not a list"),
         ],
     )
     def test_malformed_input_exit_4(self, tmp_path, capsys, name, key, value, message):
