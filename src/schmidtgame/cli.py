@@ -23,7 +23,6 @@ from .engine import (
     GameTranscript,
     InvalidMove,
     Variant,
-    limit_margin,
     load_transcript,
     run_game,
     save_transcript,
@@ -265,24 +264,23 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SCHMIDT_SEED")
-    return int(env) if env else 0
+    return _int(env) if env else 0
 
 
 def cmd_play(args) -> int:
     cfg = _load_config(args.config)
     inputs = _game_inputs(cfg, args.epochs)
-    seq, targets = inputs["seq"], inputs["targets"]
     seed = _seed(args)
     game = _checked(certified_game, **inputs)
 
     bob_name = _object(cfg, "strategy", {}).get("bob", "random")
-    bobs = bob_adversaries(seq, targets, seed)
+    bobs = bob_adversaries(game.config, game.seq, game.targets, seed)
     if bob_name not in bobs:
         raise ConfigError(f"unknown adversary {bob_name!r}")
     t0 = time.perf_counter()
-    transcript = run_game(game.config, game.alice(), bobs[bob_name], seed=seed)
+    transcript = run_game(game.config, game.alice(), bobs[bob_name])
     wall = time.perf_counter() - t0
-    margin = limit_margin(transcript, seq, targets, game.k_max)
+    margin = game.margin(transcript)
     won = margin >= game.params.c
 
     out_dir = args.out or "."

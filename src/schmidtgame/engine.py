@@ -79,13 +79,14 @@ class GameTranscript:
 
 
 class Strategy(Protocol):
-    def propose(self, transcript: GameTranscript, outer: Ball) -> Tuple[Ball, Dict]:
+    """A player built for one game: it answers the ball in play, keeping any
+    history it needs in its own state."""
+
+    def propose(self, outer: Ball) -> Tuple[Ball, Dict]:
         ...
 
 
-def _check_move(
-    config: GameConfig, player: Player, round_no: int, outer: Ball, ball: Ball
-) -> Optional[str]:
+def _check_move(config: GameConfig, player: Player, outer: Ball, ball: Ball) -> Optional[str]:
     ratio = config.alpha if player is Player.ALICE else config.beta
     if config.variant is Variant.CLASSIC:
         if ball.radius != ratio * outer.radius:
@@ -110,28 +111,22 @@ def _config_digest(config: GameConfig) -> Dict:
     }
 
 
-def run_game(
-    config: GameConfig, alice: Strategy, bob: Strategy, seed: int = 0
-) -> GameTranscript:
+def run_game(config: GameConfig, alice: Strategy, bob: Strategy) -> GameTranscript:
     """Referee one game; raises InvalidMove when a strategy forfeits."""
-    for s in (alice, bob):
-        start = getattr(s, "start", None)
-        if start is not None:
-            start(config, seed)
     t = GameTranscript(config_digest=_config_digest(config))
     current = config.initial_ball
     t.moves.append(Move(1, Player.BOB, current, {"initial": True}))
     for round_no in range(1, config.max_rounds + 1):
-        ball, ann = alice.propose(t, current)
-        reason = _check_move(config, Player.ALICE, round_no, current, ball)
+        ball, ann = alice.propose(current)
+        reason = _check_move(config, Player.ALICE, current, ball)
         if reason is not None:
             raise InvalidMove(Player.ALICE, round_no, reason)
         t.moves.append(Move(round_no, Player.ALICE, ball, ann))
         for cert in ann.get("certificates", ()):
             t.certificates.append(cert)
         current = ball
-        ball, ann = bob.propose(t, current)
-        reason = _check_move(config, Player.BOB, round_no, current, ball)
+        ball, ann = bob.propose(current)
+        reason = _check_move(config, Player.BOB, current, ball)
         if reason is not None:
             raise InvalidMove(Player.BOB, round_no, reason)
         t.moves.append(Move(round_no + 1, Player.BOB, ball, ann))
@@ -157,7 +152,7 @@ def validate_transcript(t: GameTranscript, config: GameConfig) -> bool:
         player = Player.ALICE if i % 2 else Player.BOB
         if mv.player is not player or mv.round_no != i // 2 + 1 or mv.ball.dim != current.dim:
             return False
-        if _check_move(config, player, mv.round_no, current, mv.ball) is not None:
+        if _check_move(config, player, current, mv.ball) is not None:
             return False
         current = mv.ball
     return t.final_enclosure == current

@@ -388,17 +388,11 @@ class Theorem42Alice:
         self.support = support
         self.alpha = frac(alpha)
         self.beta = frac(beta)
-        self._reset()
-
-    def _reset(self):
         self.round_no = 0
         self.pending: List[EpochConstraint] = []
         self.resolved: List[EpochConstraint] = []
         self.handled_k: set = set()
         self.pre_slabs: Optional[List[EpochConstraint]] = None
-
-    def start(self, config: GameConfig, seed: int):
-        self._reset()
 
     def _initial_escapes(self, ball: Ball) -> List[EpochConstraint]:
         """Constraints with t_k certainly below 1 that meet the initial ball."""
@@ -412,7 +406,7 @@ class Theorem42Alice:
                     out.append(ec)
         return out
 
-    def propose(self, transcript: GameTranscript, outer: Ball) -> Tuple[Ball, Dict]:
+    def propose(self, outer: Ball) -> Tuple[Ball, Dict]:
         self.round_no += 1
         i = self.round_no
         r = self.params.r
@@ -504,22 +498,15 @@ class StrongWrapper:
     def __init__(self, inner, alpha: Fraction):
         self.inner = inner
         self.alpha = frac(alpha)
-        self.inner_beta = frac(getattr(inner, "beta"))
+        self.inner_beta = frac(inner.beta)
         self.next_trigger: Optional[Fraction] = None
         self.observed: List[Ball] = []
 
-    def start(self, config: GameConfig, seed: int):
-        start = getattr(self.inner, "start", None)
-        if start is not None:
-            start(config, seed)
-        self.next_trigger = None
-        self.observed = []
-
-    def propose(self, transcript: GameTranscript, outer: Ball):
+    def propose(self, outer: Ball):
         rho = outer.radius
         if self.next_trigger is None or rho == self.next_trigger:
             self.observed.append(outer)
-            ball, ann = self.inner.propose(transcript, outer)
+            ball, ann = self.inner.propose(outer)
             self.next_trigger = self.alpha * self.inner_beta * rho
             ann = dict(ann)
             ann["virtual_round"] = True
@@ -559,17 +546,10 @@ class RoundRobinAlice:
         self.alpha = frac(alpha)
         self.count = 0
 
-    def start(self, config, seed):
-        self.count = 0
-        for s in self.subs:
-            st = getattr(s, "start", None)
-            if st is not None:
-                st(config, seed)
-
-    def propose(self, transcript, outer: Ball):
+    def propose(self, outer: Ball):
         idx = self.count % len(self.subs)
         self.count += 1
-        ball, ann = self.subs[idx].propose(transcript, outer)
+        ball, ann = self.subs[idx].propose(outer)
         ann = dict(ann)
         ann["robin_slot"] = idx
         return ball, ann
@@ -699,17 +679,10 @@ class ChaseBob:
     """Drifts toward the nearest preimage point of the lowest constraint
     index still reachable under the remaining movement budget."""
 
-    def __init__(self, seq: MatrixSequence, targets: TargetFamily):
+    def __init__(self, config: GameConfig, seq: MatrixSequence, targets: TargetFamily):
         self.seq = seq
         self.targets = targets
-        self.k_target = 1
-        self.beta = Fraction(1, 2)
-        self.support: Optional[SupportModel] = None
-
-    def start(self, config: GameConfig, seed: int):
-        self.beta = config.beta
-        self.alpha = config.alpha
-        self.support = config.support
+        self.alpha, self.beta, self.support = config.alpha, config.beta, config.support
         self.k_target = 1
 
     def _nearest_preimage(self, k: int, center: Vec, rho: Fraction) -> Optional[Vec]:
@@ -721,7 +694,7 @@ class ChaseBob:
             return None
         return self.seq.preimage(k, best)
 
-    def propose(self, transcript, outer: Ball):
+    def propose(self, outer: Ball):
         rho = outer.radius
         rad = self.beta * rho
         step = rho - rad
@@ -738,7 +711,7 @@ class ChaseBob:
             p = None
         if p is None:
             return Ball(c, rad), {"chase": "idle"}
-        if self.support is not None and self.support.kind == "ifs":
+        if self.support.kind == "ifs":
             cands = candidate_centers(self.support, outer, self.beta)
             target = min(cands, key=lambda u: (dist2(u, p), u))
             return Ball(target, rad), {"chase": self.k_target}
@@ -756,22 +729,15 @@ class ChaseBob:
 class RandomBob:
     """Uniform feasible center each turn; bit-reproducible for a fixed seed."""
 
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
-        self.rng = random.Random(seed or 0)
-        self.beta = Fraction(1, 2)
-        self.support: Optional[SupportModel] = None
+    def __init__(self, config: GameConfig, seed: int):
+        self.beta, self.support = config.beta, config.support
+        self.rng = random.Random(seed)
 
-    def start(self, config: GameConfig, seed: int):
-        self.beta = config.beta
-        self.support = config.support
-        self.rng = random.Random(self.seed if self.seed is not None else seed)
-
-    def propose(self, transcript, outer: Ball):
+    def propose(self, outer: Ball):
         rho = outer.radius
         rad = self.beta * rho
         step = rho - rad
-        if self.support is not None and self.support.kind == "ifs":
+        if self.support.kind == "ifs":
             cands = candidate_centers(self.support, outer, self.beta)
             return Ball(self.rng.choice(cands), rad), {"random": True}
         n = outer.dim
@@ -789,19 +755,16 @@ class RandomBob:
 class MaximalBob:
     """Takes the full radius every turn (legal only in the Strong variant)."""
 
-    def propose(self, transcript, outer: Ball):
+    def propose(self, outer: Ball):
         return Ball(outer.center, outer.radius), {"maximal": True}
 
 
 def bob_adversaries(
-    seq: Optional[MatrixSequence] = None,
-    targets: Optional[TargetFamily] = None,
-    seed: Optional[int] = None,
+    config: GameConfig, seq: MatrixSequence, targets: TargetFamily, seed: int
 ) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "random": RandomBob(seed),
+    """Every adversary, built for the one game `config` describes."""
+    return {
+        "random": RandomBob(config, seed),
         "maximal": MaximalBob(),
+        "chase": ChaseBob(config, seq, targets),
     }
-    if seq is not None and targets is not None:
-        out["chase"] = ChaseBob(seq, targets)
-    return out

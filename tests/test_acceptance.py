@@ -118,11 +118,11 @@ def test_criterion_02_theorem42_one_dimensional():
     alpha, beta, rho = F(1, 4), F(1, 2), F(1, 40)
     c_theory = rho * F(1, 8) ** 13
     for name in ("chase", "random"):
-        bob = bob_adversaries(seq, targets, 0)[name]
         t0 = time.monotonic()
         game = certified_game(
             K, seq, targets, alpha, beta, Variant.CLASSIC, rho, (F(1, 6),), F(3), 2
         )
+        bob = bob_adversaries(game.config, seq, targets, 0)[name]
         transcript = run_game(game.config, game.alice(), bob)
         margin = game.margin(transcript)
         assert time.monotonic() - t0 < 60
@@ -142,7 +142,8 @@ def test_criterion_02_theorem42_one_dimensional():
     game = certified_game(
         K, seq, targets, alpha, beta, Variant.STRONG, F(1, 80), (F(1, 6),), F(3), 2
     )
-    transcript = run_game(game.config, game.alice(), bob_adversaries()["maximal"])
+    bob = bob_adversaries(game.config, seq, targets, 0)["maximal"]
+    transcript = run_game(game.config, game.alice(), bob)
     assert game.k_max == 40
     assert game.margin(transcript) >= game.params.c
     print("CRITERION 2: PASS (1-D certified wins vs chase/random/maximal)")
@@ -157,7 +158,7 @@ def test_criterion_03_theorem42_two_dimensional():
     game = certified_game(
         K, seq, targets, alpha, beta, Variant.CLASSIC, F(1, 50), (F(1, 5), F(1, 5)), F(3), 1
     )
-    bob = bob_adversaries(seq, targets, 0)["chase"]
+    bob = bob_adversaries(game.config, seq, targets, 0)["chase"]
     transcript = run_game(game.config, game.alice(), bob)
     margin = game.margin(transcript)
     assert time.monotonic() - t0 < 300
@@ -189,7 +190,7 @@ def test_criterion_04_cantor_support():
     game = certified_game(
         cantor_set(), seq, targets, alpha, beta, Variant.CLASSIC, F(1, 200), (F(1, 4),), F(2), 1
     )
-    bob = bob_adversaries(seq, targets, 0)["chase"]
+    bob = bob_adversaries(game.config, seq, targets, 0)["chase"]
     transcript = run_game(game.config, game.alice(), bob)
     assert game.k_max == 145
     assert validate_transcript(transcript, game.config)
@@ -281,7 +282,7 @@ def test_criterion_08_bad_margin_irrational():
     game = certified_game(
         euclidean(1), seq, targets, alpha, beta, Variant.CLASSIC, F(1, 40), (F(2, 5),), F(3), 2
     )
-    bob = bob_adversaries(seq, targets, 0)["chase"]
+    bob = bob_adversaries(game.config, seq, targets, 0)["chase"]
     transcript = run_game(game.config, game.alice(), bob)
     assert game.k_max == 17
     assert validate_transcript(transcript, game.config)
@@ -305,7 +306,8 @@ def test_criterion_09_strong_variant():
     assert game.beta == beta_v
     assert game.config.max_rounds == s * (3 * params.r - 1) - 1
     wrapper = game.alice()
-    transcript = run_game(game.config, wrapper, bob_adversaries()["maximal"])
+    bob = bob_adversaries(game.config, seq, targets, 0)["maximal"]
+    transcript = run_game(game.config, wrapper, bob)
     # the inner strategy must have seen an exact Classic game for (alpha, beta_v)
     observed = wrapper.observed
     assert len(observed) >= 2 * (3 * params.r - 1) - 1
@@ -342,7 +344,7 @@ def test_criterion_10_intersection():
     cfg = GameConfig(
         alpha, beta, Variant.CLASSIC, K, Ball((F(1, 3),), rho), rounds
     )
-    transcript = run_game(cfg, alice, bob_adversaries(seq, families[0], 0)["chase"])
+    transcript = run_game(cfg, alice, bob_adversaries(cfg, seq, families[0], 0)["chase"])
     assert validate_transcript(transcript, cfg)
     for p, fam in zip(plist, families):
         kmax = certified_horizon(seq, (1 / (alpha * beta_i)) ** p.r)

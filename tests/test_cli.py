@@ -627,10 +627,11 @@ def _pinned_config(tmp_path, name):
     return str(path)
 
 
-def _play_hashes(tmp_path, cfg):
-    """Play cfg at seed 3 into tmp_path; the hashes of the transcript and of
-    summary.json without wall_time and the transcript path."""
-    argv = ["play", "--config", cfg, "--seed", "3"]
+def _play_hashes(tmp_path, cfg, seed_argv=("--seed", "3")):
+    """Play cfg into tmp_path, at seed 3 unless seed_argv says otherwise; the
+    hashes of the transcript and of summary.json without wall_time and the
+    transcript path."""
+    argv = ["play", "--config", cfg, *seed_argv]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     transcript = (tmp_path / "transcript.jsonl").read_bytes()
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -663,6 +664,13 @@ class TestGoldenTranscripts:
     def test_variant_bytes(self, tmp_path, capsys, name):
         cfg = _pinned_config(tmp_path, name)
         assert _play_hashes(tmp_path / "out", cfg) == GOLDEN_VARIANTS[name][2]
+
+    @pytest.mark.parametrize("name", ["cantor_pow2-random", "pow3_classic-random"])
+    def test_env_seed_bytes(self, tmp_path, capsys, monkeypatch, name):
+        # SCHMIDT_SEED=3 with no --seed seeds RandomBob as --seed 3 does
+        monkeypatch.setenv("SCHMIDT_SEED", "3")
+        cfg = _pinned_config(tmp_path, name)
+        assert _play_hashes(tmp_path / "out", cfg, ()) == GOLDEN_VARIANTS[name][2]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
     def test_verify_stdout(self, tmp_path, capsys, name):
@@ -835,6 +843,22 @@ class TestSeedFallback:
         )
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["play", "--config", config("pow3_classic.json")],
+            ["estimate-decay", "--config", config("cantor_pow2.json")],
+        ],
+        ids=["play", "estimate-decay"],
+    )
+    def test_malformed_env_seed_exit_4(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SCHMIDT_SEED", "abc")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: not an integer: 'abc'"]
+        assert not list(tmp_path.iterdir())
 
 
 class TestReadme:

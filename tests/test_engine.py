@@ -63,27 +63,27 @@ class CenteredAlice:
     def __init__(self, alpha):
         self.alpha = alpha
 
-    def propose(self, transcript, outer):
+    def propose(self, outer):
         return Ball(outer.center, self.alpha * outer.radius), {}
 
 
 class CenteredBob:
-    """Keeps the center and shrinks by exactly beta."""
+    """Keeps the center and shrinks by exactly the beta of its game."""
 
-    def start(self, config, seed):
+    def __init__(self, config):
         self.beta = config.beta
 
-    def propose(self, transcript, outer):
+    def propose(self, outer):
         return Ball(outer.center, self.beta * outer.radius), {}
 
 
 class CheatingAlice:
-    def propose(self, transcript, outer):
+    def propose(self, outer):
         return Ball(outer.center, outer.radius / 3), {}
 
 
 class EscapingBob:
-    def propose(self, transcript, outer):
+    def propose(self, outer):
         # correct radius but a center violating containment
         return Ball((outer.center[0] + outer.radius,), outer.radius / 2), {}
 
@@ -91,14 +91,14 @@ class EscapingBob:
 class OffSupportBob:
     """A legal radius and containment, but the center 1/2 is off the Cantor set."""
 
-    def propose(self, transcript, outer):
+    def propose(self, outer):
         return Ball((F(1, 2),), outer.radius / 2), {}
 
 
 class TestRunGame:
     def test_radii_follow_schedule(self):
         cfg = classic_config(4)
-        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg))
         assert t.final_enclosure.radius == F(1, 8) ** 4
         radii = [m.ball.radius for m in t.moves]
         assert radii[0] == F(1)
@@ -107,8 +107,9 @@ class TestRunGame:
             assert radii[i] == factor * radii[i - 1]
 
     def test_wrong_radius_forfeits(self):
+        cfg = classic_config()
         with pytest.raises(InvalidMove) as e:
-            run_game(classic_config(), CheatingAlice(), CenteredBob())
+            run_game(cfg, CheatingAlice(), CenteredBob(cfg))
         assert e.value.player is Player.ALICE
 
     def test_containment_enforced(self):
@@ -151,12 +152,12 @@ class TestRunGame:
 class TestValidateTranscript:
     def test_round_trip(self):
         cfg = classic_config(4)
-        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg))
         assert validate_transcript(t, cfg)
 
     def test_tampered_radius_rejected(self):
         cfg = classic_config(4)
-        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg))
         bad = t.moves[2]
         t.moves[2] = Move(
             bad.round_no, bad.player, Ball(bad.ball.center, bad.ball.radius * 2)
@@ -166,7 +167,8 @@ class TestValidateTranscript:
     def test_other_config_rejected(self):
         # a legal game of 4 rounds is no transcript of a 3- or 5-round config,
         # nor of one whose digest names another beta
-        t = run_game(classic_config(4), CenteredAlice(F(1, 4)), CenteredBob())
+        played = classic_config(4)
+        t = run_game(played, CenteredAlice(F(1, 4)), CenteredBob(played))
         for cfg in (classic_config(3), classic_config(5)):
             assert not validate_transcript(t, cfg)
         other = classic_config(4)
@@ -175,7 +177,7 @@ class TestValidateTranscript:
 
     def test_truncated_or_renumbered_rejected(self):
         cfg = classic_config(4)
-        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg))
         short = GameTranscript(t.config_digest, t.moves[:-2], [], t.moves[-3].ball)
         assert not validate_transcript(short, cfg)
         mv = t.moves[3]
@@ -184,7 +186,7 @@ class TestValidateTranscript:
 
     def test_wrong_final_or_dimension_rejected(self):
         cfg = classic_config(4)
-        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg))
         final = t.final_enclosure
         t.final_enclosure = None
         assert not validate_transcript(t, cfg)
@@ -197,7 +199,7 @@ class TestValidateTranscript:
 class TestSerialization:
     def test_save_load_exact(self, tmp_path):
         cfg = classic_config(4)
-        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob())
+        t = run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg))
         path = str(tmp_path / "t.jsonl")
         save_transcript(t, path)
         loaded = load_transcript(path)
@@ -209,7 +211,7 @@ class TestSerialization:
         cfg = classic_config(4)
         p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         for p in (p1, p2):
-            save_transcript(run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob()), p)
+            save_transcript(run_game(cfg, CenteredAlice(F(1, 4)), CenteredBob(cfg)), p)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 

@@ -722,16 +722,15 @@ class TestStrongWrapper:
 
 class TestAdversaries:
     def test_registry(self):
-        seq, targets, _, _ = pow3_setup()
-        bobs = bob_adversaries(seq, targets, 0)
+        seq, targets, K, p = pow3_setup()
+        cfg = GameConfig(F(1, 4), F(1, 2), Variant.CLASSIC, K, Ball((F(1, 6),), p.rho), p.r)
+        bobs = bob_adversaries(cfg, seq, targets, 0)
         assert set(bobs) == {"random", "maximal", "chase"}
-        assert set(bob_adversaries()) == {"random", "maximal"}
 
     def test_bobs_play_legal_moves(self):
         seq, targets, K, p = pow3_setup()
         for name in ("chase", "random"):
             alice = Theorem42Alice(p, seq, targets, K, F(1, 4), F(1, 2))
-            bob = bob_adversaries(seq, targets, 3)[name]
             cfg = GameConfig(
                 F(1, 4),
                 F(1, 2),
@@ -740,6 +739,7 @@ class TestAdversaries:
                 Ball((F(1, 6),), p.rho),
                 2 * p.r - 1,
             )
+            bob = bob_adversaries(cfg, seq, targets, 3)[name]
             t = run_game(cfg, alice, bob)
             assert validate_transcript(t, cfg)
 
@@ -748,11 +748,11 @@ class TestAdversaries:
         finals = []
         for _ in range(2):
             alice = Theorem42Alice(p, seq, targets, K, F(1, 4), F(1, 2))
-            bob = bob_adversaries(seq, targets, 11)["random"]
             cfg = GameConfig(
                 F(1, 4), F(1, 2), Variant.CLASSIC, K, Ball((F(1, 6),), p.rho), p.r
             )
-            finals.append(run_game(cfg, alice, bob, seed=11).final_enclosure)
+            bob = bob_adversaries(cfg, seq, targets, 11)["random"]
+            finals.append(run_game(cfg, alice, bob).final_enclosure)
         assert finals[0] == finals[1]
 
 
@@ -845,6 +845,14 @@ class TestPreimage:
             seq.preimage(1, (F(1), F(2)))
 
 
+def _chase_bob(seq: MatrixSequence, targets: TargetFamily) -> ChaseBob:
+    """A ChaseBob built for a Classic game on R^n about the origin."""
+    n = len(seq.matrix(1)[0])
+    K = SupportModel.euclidean(n, DecayParams(C=F(1), gamma=F(1), ambient_dim=n))
+    cfg = GameConfig(F(1, 4), F(1, 2), Variant.CLASSIC, K, Ball((F(0),) * n, F(1)), 1)
+    return ChaseBob(cfg, seq, targets)
+
+
 def _reference_nearest_preimage(bob: ChaseBob, k: int, center: Vec, rho: F):
     """The chase target as ChaseBob found it by listing every point in reach."""
     t = bob.seq.t(k)
@@ -868,7 +876,7 @@ class TestChaseRounding:
     )
     def test_matches_points_near_min(self, base, y):
         seq = MatrixSequence.powers(base)
-        bob = ChaseBob(seq, TargetFamily.lattice(y))
+        bob = _chase_bob(seq, TargetFamily.lattice(y))
         rng = random.Random(31 * len(base) + int(base[0][0]))
         ties = 0
         for _ in range(60):
@@ -891,7 +899,7 @@ class TestChaseRounding:
         targets = TargetFamily.explicit(
             {1: [(F(50),)], 2: [(F(7),), (F(1, 3),)], 4: [(F(1),), (F(-1),)]}, F(1)
         )
-        bob = ChaseBob(seq, targets)
+        bob = _chase_bob(seq, targets)
         rho = F(1, 100)
         expected = {1: None, 2: (F(1, 12),), 3: None, 4: (F(-1, 16),)}
         for k, want in expected.items():
@@ -913,12 +921,12 @@ class TestIntersection:
             def __init__(self, tag):
                 self.tag = tag
 
-            def propose(self, transcript, outer):
+            def propose(self, outer):
                 calls.append(self.tag)
                 return Ball(outer.center, F(1, 4) * outer.radius), {}
 
         robin = intersect_strategies([Probe("a"), Probe("b")], F(1, 4))
         outer = Ball((F(0),), F(1))
         for _ in range(4):
-            ball, ann = robin.propose(None, outer)
+            ball, ann = robin.propose(outer)
         assert calls == ["a", "b", "a", "b"]
