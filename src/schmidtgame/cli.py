@@ -84,6 +84,8 @@ def _object(cfg: Dict, key: str, default: Optional[Dict] = None) -> Dict:
 
 
 def _num(x) -> Fraction:
+    if isinstance(x, float):  # frac would read 0.1 as the dyadic nearest 1/10
+        raise ConfigError(f"not an exact rational: {x!r}")
     try:
         return frac(x)
     except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -309,6 +311,8 @@ def cmd_play(args) -> int:
 def cmd_analyze_seq(args) -> int:
     cfg = _load_config(args.config)
     seq = _build_sequence(_object(cfg, "sequence"))
+    if args.jordan and seq.finite:
+        raise ConfigError(f"--jordan: a {seq.kind} sequence has no base matrix")
     horizon = 60 if args.horizon is None else args.horizon
     if horizon < 2:
         raise ConfigError(f"--horizon must be >= 2, got {horizon}")
@@ -322,7 +326,7 @@ def cmd_analyze_seq(args) -> int:
         "horizon": report.horizon,
         "note": report.note,
     }
-    if args.jordan and seq.kind == "powers":
+    if args.jordan:
         try:
             out["jordan"] = jordan_dominance_check(seq.base, horizon)
         except ValueError as e:

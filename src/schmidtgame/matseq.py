@@ -8,11 +8,12 @@ comes from the pivot signs of a fraction-free (Bareiss) LDL^T elimination
 of p*E*I - q*G (Sylvester's law of inertia).  The top eigenvalue is
 enclosed between the Rayleigh quotient r of a rationalised float
 eigenvector and a slightly larger u, or found exactly at r, by inertia
-counts at r and u; otherwise inertia counts bisect.  The top direction is
-that eigenvector, widened by a residual and gap (Davis-Kahan) bound whose
-gap is certified by one more inertia count, or an exact kernel vector when
-the top eigenvalue is rational.  A sequence computes ||M_k||_op alone, from
-cached integer powers, and builds the top direction only when asked.
+counts at r and u; otherwise inertia counts bisect.  The top direction v is
+a primitive integer normal a with ||a / ||a|| - v|| <= e: that eigenvector,
+with a residual and gap (Davis-Kahan) e whose gap one more inertia count
+certifies, or, with e = 0, a single row or an exact kernel vector when the
+top eigenvalue is rational.  Slabs come from M_k^T (y - M_k x0).  A sequence
+computes ||M_k||_op alone and builds the top direction only when asked.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .geometry import DimensionMismatch, Vec, dot, norm2, over_common_den
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
+Direction = Tuple[Tuple[int, ...], Fraction]  # (primitive integer normal a, error e)
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers
@@ -311,27 +313,25 @@ def _inertia(G: IntMatrix, E: int, x: Fraction) -> Tuple[int, int]:
     return above, len(rest)
 
 
-def _rayleigh(G: IntMatrix, E: int) -> Tuple[List[float], Tuple[int, ...], int, Fraction]:
+def _rayleigh(G: IntMatrix, E: int) -> Tuple[List[float], Tuple[int, ...], Fraction]:
     """Float eigenvalues of symmetric G / E (ascending), its float top
-    eigenvector rationalised as a / c with integer a, and the exact
+    eigenvector rationalised and scaled to integers a, and the exact
     Rayleigh quotient a^T G a / (E a^T a)."""
     arr = np.array([[x / E for x in row] for row in G], dtype=float)
     s = max(1.0, np.abs(arr).max())
     w, V = np.linalg.eigh(arr / s)
     u = [Fraction(float(x)).limit_denominator(10 ** 17) for x in V[:, int(np.argmax(w))]]
-    (a,), c = _integer_form((u,))
+    (a,), _ = _integer_form((u,))
     aGa = sum(x * sum(map(mul, row, a)) for x, row in zip(a, G))
-    return [float(x * s) for x in w], a, c, Fraction(aGa, E * sum(x * x for x in a))
+    return [float(x * s) for x in w], a, Fraction(aGa, E * sum(x * x for x in a))
 
 
-def _sign_normalized(v: Tuple[Interval, ...]) -> Tuple[Interval, ...]:
-    """v, negated if needed so its first certainly-nonzero entry is positive."""
-    for e in v:
-        if e.lo > 0:
-            break
-        if e.hi < 0:
-            return tuple(-x for x in v)
-    return v
+def _primitive(x) -> Tuple[int, ...]:
+    """The primitive integer multiple of the nonzero rational vector x whose
+    first nonzero entry is positive."""
+    X, _ = over_common_den(x)
+    g = math.gcd(*X) * (-1 if next(c for c in X if c) < 0 else 1)
+    return tuple(c // g for c in X)
 
 
 def _gram_top_eigenvalue(N: IntMatrix, D: int) -> Tuple[Interval, bool]:
@@ -350,38 +350,37 @@ def _singular_value(lam: Interval, exact: bool) -> Interval:
     return Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi)
 
 
-def _top_direction(N: IntMatrix, D: int, lam: Interval, exact: bool) -> Tuple[Interval, ...]:
-    """Unit top right singular direction of M = N / D, given the enclosure
-    of the top eigenvalue of M^T M = G / E.
+def _top_direction(N: IntMatrix, D: int, lam: Interval, exact: bool) -> Direction:
+    """Top right singular direction of M = N / D as (a, e): a primitive
+    integer normal a and a bound e >= ||a / ||a|| - v|| for a unit top right
+    singular vector v, given the enclosure of the top eigenvalue of
+    M^T M = G / E.
 
-    An exact eigenvalue gives an exact kernel vector.  Otherwise the
-    rationalised float eigenvector u = a / c, with Rayleigh quotient r, is
-    widened by the Davis-Kahan bound: if exactly one eigenvalue lies above
-    g < r, the angle theta between u and the top eigenvector has
+    A single row is its own direction, and an exact eigenvalue gives an
+    exact kernel vector: e = 0 on both.  Otherwise a is the rationalised
+    float eigenvector u, with Rayleigh quotient r, and e the Davis-Kahan
+    bound: if exactly one eigenvalue lies above g < r, the angle theta
+    between u and the top eigenvector has
     sin(theta) <= ||A u - r u|| / (||u|| (r - g)), and the unit vectors
-    differ by at most sqrt(2) sin(theta) in every coordinate.
+    differ by 2 sin(theta / 2) <= sqrt(2) sin(theta).
     """
     if len(N) == 1:
-        t = sqrt_interval(lam.lo)
-        return _sign_normalized(tuple(Interval.point(Fraction(x, D)) / t for x in N[0]))
+        return _primitive(N[0]), Fraction(0)
     G, E = _product(transpose(N), N), D * D
     x = lam.lo
     if not exact:
-        w, a, c, r = _rayleigh(G, E)
+        w, a, r = _rayleigh(G, E)
         g = Fraction((w[-1] + w[-2]) / 2)
         if g < r and _inertia(G, E, g) == (1, 0):
             # ||A u - r u||^2 / ||u||^2 = ||q G a - p E a||^2 / ((q E)^2 a^T a)
             p, q, aa = r.numerator, r.denominator, sum(ai * ai for ai in a)
             res = sum((q * sum(map(mul, row, a)) - p * E * ai) ** 2 for row, ai in zip(G, a))
-            eps = sqrt_interval(2 * Fraction(res, (q * E) ** 2 * aa) / (r - g) ** 2).hi
-            nrm = sqrt_interval(Fraction(aa, c * c))
-            return _sign_normalized(
-                tuple(Interval.point(Fraction(ai, c)) / nrm + Interval(-eps, eps) for ai in a)
-            )
+            e = sqrt_interval(2 * Fraction(res, (q * E) ** 2 * aa) / (r - g) ** 2).hi
+            return _primitive(a), e
         # no certified gap: the top eigenvalue may be repeated.  A rational
         # eigenvalue of A = G / E is an integer over the common denominator q
         # of its entries, so round the float one to that grid and test it.
-        q = E // math.gcd(E, *(e for row in G for e in row))
+        q = E // math.gcd(E, *(x for row in G for x in row))
         x = Fraction(round(Fraction(w[-1]) * q), q)
         above, mult = _inertia(G, E, x)
         if above or not mult:
@@ -396,16 +395,15 @@ def _top_direction(N: IntMatrix, D: int, lam: Interval, exact: bool) -> Tuple[In
     )
     if not basis:
         raise DegenerateDirection("exact eigenvalue with empty kernel")
-    nrm = sqrt_interval(norm2(basis[0]))
-    return _sign_normalized(tuple(Interval.point(c) / nrm for c in basis[0]))
+    return _primitive(basis[0]), Fraction(0)
 
 
-def operator_norm(M) -> Tuple[Interval, Tuple[Interval, ...]]:
+def operator_norm(M) -> Tuple[Interval, Direction]:
     """Certified enclosure of the largest singular value and a top direction.
 
-    Returns (t, v) with t enclosing ||M||_op at relative width < 2^-_REL_BITS
-    and v a unit top right singular direction, sign-normalized so the first
-    certainly-nonzero coordinate is positive.
+    Returns (t, (a, e)) with t enclosing ||M||_op at relative width
+    < 2^-_REL_BITS and (a, e) the top right singular direction as
+    `_top_direction` gives it.
     """
     N, D = _integer_form(as_matrix(M))
     lam, exact = _gram_top_eigenvalue(N, D)
@@ -423,7 +421,7 @@ def _top_eigenvalue(G: IntMatrix, E: int) -> Tuple[Interval, bool]:
     n = len(G)
     if all(G[i][j] == 0 for i in range(n) for j in range(n) if i != j):
         return Interval.point(Fraction(max(G[i][i] for i in range(n)), E)), True
-    r = _rayleigh(G, E)[3]
+    r = _rayleigh(G, E)[2]
     above, mult = _inertia(G, E, r)
     if above == 0 and mult > 0:
         return Interval.point(r), True
@@ -519,6 +517,13 @@ class MatrixSequence:
             raise DimensionMismatch(f"{len(N[0])} vs {len(X)}")
         return tuple(Fraction(sum(map(mul, row, X)), D * Dx) for row in N)
 
+    def transpose_image(self, k: int, w: Vec) -> Vec:
+        """M_k^T w from the cached integer pair, one Fraction per coordinate."""
+        (N, D), (W, Dw) = self._integer(k), over_common_den(w)
+        if len(N) != len(W):
+            raise DimensionMismatch(f"{len(N)} vs {len(W)}")
+        return tuple(Fraction(sum(map(mul, col, W)), D * Dw) for col in zip(*N))
+
     def preimage(self, k: int, y: Vec) -> Vec:
         """The minimum-norm least-squares solution x of M_k x = y, exactly.
 
@@ -549,16 +554,10 @@ class MatrixSequence:
             self._t_cache[k] = _singular_value(lam, exact)
         return self._t_cache[k]
 
-    def v(self, k: int) -> Tuple[Interval, ...]:
-        """Top right singular direction of M_k, from the cached eigenvalue.
-
-        A 1x1 M_k = N / D has direction N / |N|, which sign-normalizes to 1.
-        """
+    def v(self, k: int) -> Direction:
+        """Top right singular direction (a, e) of M_k, from the cached eigenvalue."""
         self.t(k)
-        N, D = self._integer(k)
-        if len(N) == len(N[0]) == 1:
-            return (Interval.point(1),)
-        return _top_direction(N, D, *self._eig_cache[k])
+        return _top_direction(*self._integer(k), *self._eig_cache[k])
 
 
 @dataclass(frozen=True)
@@ -592,7 +591,8 @@ def analyze_lacunarity(seq: MatrixSequence, horizon: int) -> LacunarityReport:
                 undecided = True
             ratio_lo = lo if ratio_lo is None else min(ratio_lo, lo)
         if undecided or ratio_lo is None:
-            return LacunarityReport(None, None, None, horizon, "ratio enclosure straddles 1")
+            note = "ratio enclosure straddles 1" if undecided else "fewer than two indices"
+            return LacunarityReport(None, None, None, horizon, note)
         return LacunarityReport(True, ratio_lo, (1, 1), horizon)
     # Powers(M)
     M = seq.base
@@ -663,21 +663,8 @@ def invariant_hyperplane_family(M, N: int) -> Tuple[Vec, Interval]:
     if not _unipotent(U):
         raise ValueError("M^N is not unipotent")
     W = mat_sub(transpose(U), identity(n))
-    basis = kernel_basis(W)
-    if not basis:
-        raise ValueError("no invariant normal found (not unipotent?)")
-    if len(basis) == n:
-        normal = tuple(Fraction(1 if i == n - 1 else 0) for i in range(n))
-    else:
-        normal = basis[-1]
-    # scale to a primitive integer vector
-    (ints,), _ = _integer_form((normal,))
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    normal = tuple(Fraction(x) for x in ints)
+    # W is singular as U is unipotent; at W = 0 the normal is e_n
+    normal = tuple(map(Fraction, _primitive(kernel_basis(W)[-1])))
     separation = Interval.point(1) / sqrt_interval(norm2(normal))
     return normal, separation
 

@@ -29,7 +29,6 @@ from .geometry import (
     dot,
     gap2,
     norm2,
-    over_common_den,
     schmidt_leq,
     slab_ball_distance,
     slab_distance_exceeds,
@@ -255,8 +254,10 @@ def avoidance_move(
 class EpochConstraint:
     k: int
     y: Vec
-    slab: SlabConstraint       # halfwidth zeta (play-time avoidance)
-    cert_slab: SlabConstraint  # halfwidth c/t_k (final certificate)
+    # both slabs: normal a from M_k's top direction (a, e), offset
+    # a.x0 + a.g / t.lo^2 at the ball's centre x0 with g = M_k^T (y - M_k x0)
+    slab: SlabConstraint       # halfwidth zeta + error (play-time avoidance)
+    cert_slab: SlabConstraint  # halfwidth c/t.lo + error (final certificate)
 
 
 _NORM_GUARD = 8  # norms in a row certainly at or past the cap that end an unbounded walk
@@ -292,7 +293,8 @@ def _constraint_for_index(
 ) -> Optional[EpochConstraint]:
     t = seq.t(k)
     reach = c + t.hi * ball.radius
-    ys = points_near(targets, k, seq.image(k, ball.center), reach)
+    img = seq.image(k, ball.center)
+    ys = points_near(targets, k, img, reach)
     if len(ys) > 1:
         raise MoreThanOneTarget(
             f"{len(ys)} targets within {float(reach):.3g} at index {k}"
@@ -300,33 +302,23 @@ def _constraint_for_index(
     if not ys:
         return None
     y = ys[0]
-    xstar = seq.preimage(k, y)
-    resid2 = dist2(seq.image(k, xstar), y)
-    if resid2 > c * c:
-        return None  # the c-neighborhood of y misses the range of M entirely
-    # |v.(x - x*)| <= (c + residual)/t for every x with ||Mx - y|| <= c
-    base = (c + sqrt_interval(resid2).hi) / t.lo
-    # v's enclosure over one denominator: its midpoint and half-width norm
-    ends, D = over_common_den([e for iv in seq.v(k) for e in (iv.lo, iv.hi)])
-    vm = tuple(Fraction(a + b, 2 * D) for a, b in zip(ends[::2], ends[1::2]))
-    err2 = sum((b - a) ** 2 for a, b in zip(ends[::2], ends[1::2]))
-    e_hi = sqrt_interval(Fraction(err2, 4 * D * D)).hi
-    R = sqrt_interval(dist2(ball.center, xstar)).hi + ball.radius
-    nrm_lo = sqrt_interval(norm2(vm)).lo
-    if nrm_lo <= 0:
-        raise CertificateError(f"degenerate direction enclosure at index {k}")
-    hw_cert = (base + e_hi * R) / nrm_lo
+    # M_k v = t u for unit top directions v, u; with g = M_k^T (y - M_k x0) every
+    # x with ||M_k x - y|| <= c has |v.(x - x0) - v.g / t^2| <= c / t, and a, e, t.lo
+    # add e * rho over the ball and ||g|| ((e + 1) / t.lo^2 - 1 / t.hi^2) to it.
+    a, e = seq.v(k)
+    g = seq.transpose_image(k, tuple(yi - mi for yi, mi in zip(y, img)))
+    base, lo2 = c / t.lo, t.lo * t.lo
+    err = e * ball.radius + sqrt_interval(norm2(g)).hi * ((e + 1) / lo2 - 1 / (t.hi * t.hi))
     if base > zeta:
         raise CertificateError(
             f"c/t_k = {float(base):.3g} exceeds zeta = {float(zeta):.3g} at k={k}"
         )
-    hw_play = (zeta + e_hi * R) / nrm_lo
-    offset = dot(vm, xstar)
+    offset = dot(a, ball.center) + dot(a, g) / lo2
     return EpochConstraint(
         k=k,
         y=y,
-        slab=SlabConstraint(vm, offset, hw_play, label=f"k={k}"),
-        cert_slab=SlabConstraint(vm, offset, hw_cert, label=f"k={k} cert"),
+        slab=SlabConstraint(a, offset, zeta + err, label=f"k={k}"),
+        cert_slab=SlabConstraint(a, offset, base + err, label=f"k={k} cert"),
     )
 
 

@@ -48,6 +48,24 @@ class TestPlay:
                 runs.append((path / "transcript.jsonl").read_bytes())
             assert runs[0] == runs[2], name
 
+    def test_cat_map_chase_wins_and_verifies(self, tmp_path, capsys):
+        # the hyperbolic toral automorphism [[2, 1], [1, 1]] against the chase
+        # Bob; its norms grow by phi^2 > 2 = Q per index
+        cfg = json.loads(open(config("dim2_classic.json")).read())
+        cfg["sequence"]["base"] = [["2", "1"], ["1", "1"]]
+        cfg["Q"] = "2"
+        cfg["strategy"]["bob"] = "chase"
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["play", "--config", str(path), "--seed", "1", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["won"] is True and summary["certificates"] >= 1
+        assert main(["verify", str(out / "transcript.jsonl"), "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "replay: ok" and lines[1].startswith("margin: ok")
+        assert lines[2:] == ["epoch 1: 1 certificates ok"]
+
     def test_uncertified_mode_exit_4(self, tmp_path, capsys):
         cfg = json.loads(open(config("pow3_classic.json")).read())
         cfg["strategy"]["mode"] = "greedy"
@@ -133,12 +151,14 @@ class TestPlay:
             ("game", {"alpha": "0"}, "alpha must be in (0, 1), got 0"),
             ("game", {"alpha": "1"}, "alpha must be in (0, 1), got 1"),
             ("game", {"epochs": 1.5}, "not an integer: 1.5"),
+            # a JSON float is a dyadic, not the decimal it is written as
+            ("game", {"radius": 0.5}, "not an exact rational: 0.5"),
         ],
         ids=[
             "zero_delta", "no_points", "points_list", "point_list_number",
             "points_within_delta",
             "beta_zero", "beta_negative", "beta_one", "alpha_zero", "alpha_one",
-            "epochs_float",
+            "epochs_float", "radius_float",
         ],
     )
     def test_out_of_range_exit_4(self, tmp_path, capsys, section, value, message):
@@ -383,6 +403,31 @@ class TestAnalyzeSeq:
         argv = ["analyze-seq", "--config", config("pow3_classic.json"), "--jordan"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["jordan"]["ok"] is True
+
+    @pytest.mark.parametrize("sequence", [
+        {"kind": "rows", "rows": [["1"], ["3"]]},
+        {"kind": "explicit", "matrices": [[["2"]], [["5"]]]},
+    ], ids=["rows", "explicit"])
+    def test_jordan_on_finite_sequence_exit_4(self, tmp_path, capsys, sequence):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"sequence": sequence}))
+        assert main(["analyze-seq", "--config", str(path), "--jordan"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"config error: --jordan: a {sequence['kind']} sequence has no base matrix"
+        ]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sequence", [
+        {"kind": "rows", "rows": [["3"]]},
+        {"kind": "explicit", "matrices": [[["2", "1"], ["1", "1"]]]},
+    ], ids=["rows", "explicit"])
+    def test_one_index_has_no_ratio(self, tmp_path, capsys, sequence):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"sequence": sequence}))
+        assert main(["analyze-seq", "--config", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["lacunary"], out["Q"], out["note"]) == (None, None, "fewer than two indices")
 
     @pytest.mark.parametrize("horizon", ["1", "0", "-3"])
     def test_short_horizon_exit_4(self, capsys, horizon):
@@ -812,6 +857,8 @@ class TestBadapproxCmd:
             # so the existing ids keep their numbers)
             ("badapprox_sqrt2.json", "A", [[{"poly": 5, "lo": "1", "hi": "2"}]], "poly is not a list"),
             ("badapprox_sqrt2.json", "A", [[{"poly": "102", "lo": "1", "hi": "2"}]], "poly is not a list"),
+            # a JSON float is the dyadic nearest it: 0.1 is not 1/10
+            ("badapprox_rational.json", "x", [0.1], "config error: not an exact rational: 0.1"),
         ],
     )
     def test_malformed_input_exit_4(self, tmp_path, capsys, name, key, value, message):

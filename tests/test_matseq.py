@@ -10,7 +10,7 @@ import pytest
 
 from schmidtgame import matseq
 from schmidtgame.exact import Interval, sqrt_interval
-from schmidtgame.geometry import DimensionMismatch, norm2
+from schmidtgame.geometry import DimensionMismatch, dot, norm2
 from schmidtgame.matseq import (
     DegenerateDirection,
     MatrixSequence,
@@ -254,12 +254,10 @@ class TestLazyDirection:
         seq = MatrixSequence.explicit([M])
         t = seq.t(1)
         assert t.lo <= 5 <= t.hi
-        v = seq.v(1)
-        assert all(e.is_point() for e in v)
-        v = tuple(e.lo for e in v)
-        assert v == (F(0), F(1), F(0))
+        a, e = seq.v(1)
+        assert e == 0 and a == (0, 1, 0)
         A = mat_mul(transpose(M), M)
-        assert mat_vec(A, v) == tuple(25 * c for c in v)
+        assert mat_vec(A, a) == tuple(25 * c for c in a)
 
     def test_repeated_irrational_top_value_raises(self):
         # blockdiag(B, B): the top eigenvalue (7 + sqrt(45))/2 of M^T M is double
@@ -292,10 +290,14 @@ class TestLazyDirection:
             q = tuple(Q[j][top] for j in range(n))
             if next(c for c in q if c != 0) < 0:
                 q = tuple(-c for c in q)
-            _, v = operator_norm(M)
-            assert all(e.lo <= c <= e.hi for e, c in zip(v, q))
-            assert all(e.width < F(1, 10 ** 12) for e in v)
-            exact.add(all(e.is_point() for e in v))
+            _, (a, e) = operator_norm(M)
+            # ||a / ||a|| - q||^2 = 2 - 2 a.q / ||a|| <= e^2 up to the sign
+            # of q, where a and q are unit-free: (a.q)^2 >= (1 - e^2/2)^2 a.a
+            assert e < F(1, 10 ** 12)
+            assert dot(a, q) ** 2 >= (1 - e * e / 2) ** 2 * norm2(a)
+            if e == 0:
+                assert a == _reference_primitive(q)
+            exact.add(e == 0)
         # both the Davis-Kahan enclosure and the exact kernel vector are hit
         assert exact == {False, True}
 
@@ -306,7 +308,7 @@ class TestLazyDirection:
 
         def poor(G, E):
             w = real(G, E)[0]
-            return w, (1,) + (0,) * (len(G) - 1), 1, F(G[0][0], E)
+            return w, (1,) + (0,) * (len(G) - 1), F(G[0][0], E)
 
         monkeypatch.setattr(matseq, "_rayleigh", poor)
         A = mat_mul(transpose(DENSE), DENSE)
@@ -325,7 +327,7 @@ class TestLazyDirection:
     ])
     def test_one_by_one_direction_matches_operator_norm(self, seq):
         for k in range(1, 4 if seq.finite else 9):
-            assert seq.v(k) == operator_norm(seq.matrix(k))[1] == (Interval.point(1),)
+            assert seq.v(k) == operator_norm(seq.matrix(k))[1] == ((1,), 0)
 
     def test_one_by_one_direction_takes_no_square_root(self, monkeypatch):
         sqrts = _counting(monkeypatch, "sqrt_interval")
@@ -423,10 +425,18 @@ def _reference_gram_top_eigenvalue(M, rel_bits=48):
     return _reference_top_eigenvalue(mat_mul(transpose(M), M), rel_bits)
 
 
+def _reference_primitive(x):
+    """x scaled to coprime integers with its first nonzero entry positive."""
+    den = math.lcm(*(F(c).denominator for c in x))
+    ints = [int(c * den) for c in x]
+    sign = 1 if next(c for c in ints if c) > 0 else -1
+    return tuple(sign * c // math.gcd(*ints) for c in ints)
+
+
 def _reference_top_direction(M, lam, exact):
+    """(a, e): the primitive integer normal and its Euclidean error."""
     if len(M) == 1:
-        t = sqrt_interval(lam.lo)
-        return matseq._sign_normalized(tuple(Interval.point(x) / t for x in M[0]))
+        return _reference_primitive(M[0]), F(0)
     A = mat_mul(transpose(M), M)
     n = len(A)
     x = lam.lo
@@ -436,11 +446,7 @@ def _reference_top_direction(M, lam, exact):
         if g < r and _reference_inertia(A, g) == (1, 0):
             uu = norm2(u)
             res = norm2(tuple(a - r * b for a, b in zip(mat_vec(A, u), u)))
-            eps = sqrt_interval(2 * res / (uu * (r - g) ** 2)).hi
-            nrm = sqrt_interval(uu)
-            return matseq._sign_normalized(
-                tuple(Interval.point(c) / nrm + Interval(-eps, eps) for c in u)
-            )
+            return _reference_primitive(u), sqrt_interval(2 * res / (uu * (r - g) ** 2)).hi
         q = math.lcm(*(a.denominator for row in A for a in row))
         x = F(round(F(w[-1]) * q), q)
         above, mult = _reference_inertia(A, x)
@@ -451,8 +457,7 @@ def _reference_top_direction(M, lam, exact):
     )
     if not basis:
         raise DegenerateDirection("exact eigenvalue with empty kernel")
-    nrm = sqrt_interval(norm2(basis[0]))
-    return matseq._sign_normalized(tuple(Interval.point(c) / nrm for c in basis[0]))
+    return _reference_primitive(basis[0]), F(0)
 
 
 def _reference_norm(M):
@@ -538,9 +543,11 @@ class TestIntegerKernel:
             n = rng.choice((2, 3))
             N, D = matseq._integer_form(_random_base(rng, n, rng.choice((1, 6))))
             G, E = matseq._product(transpose(N), N), D * D
-            w, a, c, r = matseq._rayleigh(G, E)
             A = tuple(tuple(F(g, E) for g in row) for row in G)
-            assert (w, tuple(F(x, c) for x in a), r) == _reference_rayleigh(A)
+            w, u, r = _reference_rayleigh(A)
+            # a is u over the lcm of its denominators
+            den = math.lcm(*(x.denominator for x in u))
+            assert matseq._rayleigh(G, E) == (w, tuple(int(x * den) for x in u), r)
 
     @pytest.mark.parametrize("seed", [1, 7919])
     def test_norms_and_directions_match_fraction_reference(self, seed):
@@ -550,7 +557,7 @@ class TestIntegerKernel:
         def check(seq, k, Mk):
             t, v = seq.t(k), _direction(seq, k)
             assert (t, v) == _reference_norm(Mk), (Mk, k)
-            kinds.add(v if v is DegenerateDirection else all(e.is_point() for e in v))
+            kinds.add(v if v is DegenerateDirection else v[1] == 0)
 
         bases = [_random_base(rng, 3, 1) for _ in range(2)]
         bases += [_random_base(rng, n, 3) for n in (2, 3)]

@@ -542,6 +542,119 @@ class TestEpochConstraints:
             assert ec.cert_slab.halfwidth <= ec.slab.halfwidth
 
 
+def _in_slab(x: Vec, slab: SlabConstraint) -> bool:
+    """|n.x - b| <= w ||n||, decided exactly."""
+    return (dot(slab.normal, x) - slab.offset) ** 2 <= slab.halfwidth ** 2 * norm2(slab.normal)
+
+
+def _near(rng, center: Vec, radius: F) -> Vec:
+    """A rational point within `radius` of center: each coordinate moves by
+    at most radius / n."""
+    n = len(center)
+    return tuple(x + radius * F(rng.randint(-1000, 1000), 1000 * n) for x in center)
+
+
+def _anchored_case(rng, seq: MatrixSequence, k: int):
+    """(ball, y, c, zeta, ec): a target y, a ball of radius rho centred within
+    rho / 2 of a preimage of y, and the constraint built on that ball, with
+    c = sigma_min * rho / 2 from a float SVD of M_k."""
+    import numpy as np
+
+    M = seq.matrix(k)
+    y = tuple(F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in M)
+    rho = F(1, rng.choice((4, 8, 64)))
+    ball = Ball(_near(rng, seq.preimage(k, y), rho / 2), rho)
+    s_min = np.linalg.svd(np.array([[float(x) for x in row] for row in M]), compute_uv=False)[-1]
+    c = F(float(s_min) * float(rho) / 2).limit_denominator(10 ** 6)
+    t = seq.t(k)
+    zeta = 2 * c / t.lo
+    targets = TargetFamily.explicit({k: [y]}, F(1))
+    ec = strategies._constraint_for_index(ball, seq, targets, c, zeta, k)
+    assert ec is not None and ec.y == y
+    return ball, y, c, zeta, ec
+
+
+class TestCentreAnchoredSlab:
+    """Slabs anchored at the ball's centre x0 from M_k^T (y - M_k x0)."""
+
+    @staticmethod
+    def _sequences(seed):
+        rng = random.Random(f"anchored:{seed}")
+
+        def dense(rows, cols):
+            while True:
+                M = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(cols)) for _ in range(rows))
+                # full row rank: every y has an exact preimage
+                if not kernel_basis(transpose(M)):
+                    return M
+
+        return [
+            (MatrixSequence.powers(dense(2, 2)), 6),
+            (MatrixSequence.powers(dense(3, 3)), 6),
+            (MatrixSequence.explicit([dense(2, 3), dense(2, 3), dense(2, 3)]), 3),
+            (MatrixSequence.rows([dense(1, 3)[0] for _ in range(3)]), 3),
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_every_solution_in_the_ball_lies_in_the_cert_slab(self, seed):
+        import numpy as np
+
+        rng = random.Random(f"points:{seed}")
+        checked = 0
+        for seq, top in self._sequences(seed):
+            for k in range(1, top + 1):
+                ball, y, c, zeta, ec = _anchored_case(rng, seq, k)
+                play, cert = ec.slab, ec.cert_slab
+                assert (play.normal, play.offset) == (cert.normal, cert.offset)
+                assert play.halfwidth >= cert.halfwidth
+                assert cert.halfwidth < ball.radius  # the slab constrains the ball
+                M = seq.matrix(k)
+                u = np.linalg.svd(np.array([[float(x) for x in row] for row in M]))[0][:, 0]
+                null = kernel_basis(M)
+                for trial in range(40):
+                    # x = x' + kernel part with M_k x' = y + r, ||r|| <= c; the
+                    # first trials push r along the top left singular vector,
+                    # to the slab's edge, and add no kernel part
+                    if trial < 4:
+                        s = (1 - F(1, 10 ** 6)) * (1 if trial % 2 else -1)
+                        r = tuple(s * c * F(float(ui)).limit_denominator(10 ** 9) for ui in u)
+                    else:
+                        r = _near(rng, (F(0),) * len(M), c)
+                    x = seq.preimage(k, tuple(yi + ri for yi, ri in zip(y, r)))
+                    for v in null if trial >= 4 else ():
+                        x = tuple(xi + ball.radius * F(rng.randint(-100, 100), 100) * vi
+                                  for xi, vi in zip(x, v))
+                    if dist2(x, ball.center) > ball.radius ** 2:
+                        continue
+                    if dist2(seq.image(k, x), y) > c * c:
+                        continue
+                    assert _in_slab(x, cert), (k, x)
+                    checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("base", [
+        ((F(3),),),
+        ((F(-2, 5),),),
+        ((F(2), F(0)), (F(0), F(-3))),
+        ((F(-5, 2), F(0), F(0)), (F(0), F(1, 3), F(0)), (F(0), F(0), F(4))),
+    ])
+    def test_exact_bases_match_the_preimage_formula(self, base):
+        # e = 0 and t_k is exact: the offset is a.x* and the halfwidths are
+        # c/t_k and zeta, as when the slab was anchored at the preimage x*
+        rng = random.Random(f"exact:{base}")
+        seq = MatrixSequence.powers(base)
+        for k in range(1, 7):
+            a, e = seq.v(k)
+            assert e == 0
+            ball, y, c, zeta, ec = _anchored_case(rng, seq, k)
+            t = seq.t(k)
+            assert t.is_point()
+            assert ec.cert_slab.normal == a
+            assert ec.cert_slab.offset == ec.slab.offset == dot(a, seq.preimage(k, y))
+            assert ec.cert_slab.halfwidth == c / t.lo
+            assert ec.slab.halfwidth == zeta
+
+
 # ---------------------------------------------------------------------------
 # the index scans as they ran before one norm walk served them all: each with
 # its own stopping rule
