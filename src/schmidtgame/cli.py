@@ -36,6 +36,10 @@ from .matseq import (
     analyze_lacunarity,
     jordan_dominance_check,
     mat_shape,
+    poly_divmod,
+    poly_eval,
+    sturm_chain,
+    sturm_count,
 )
 from .strategies import (
     CertificateError,
@@ -183,11 +187,18 @@ def _entry(e) -> ba.Entry:
         # a string would be read digit by digit: "102" as 1 + 2x^2
         if not isinstance(e["poly"], list):
             raise ConfigError(f"poly is not a list of integers: {e['poly']!r}")
-        poly = tuple(_int(c) for c in e["poly"])
+        poly, lo, hi = tuple(_int(c) for c in e["poly"]), _num(e["lo"]), _num(e["hi"])
         try:
-            return ba.AlgebraicReal(poly, _num(e["lo"]), _num(e["hi"]))
+            x = ba.AlgebraicReal(poly, lo, hi)
+            # count distinct roots on p / gcd(p, p'), where Sturm counts are sound
+            p = list(map(Fraction, poly))
+            p, _ = poly_divmod(p, sturm_chain(p)[-1])
+            roots = sturm_count(sturm_chain(p), lo, hi) + (poly_eval(p, lo) == 0)
+            if roots != 1:
+                raise ValueError(f"[lo, hi] holds {roots} distinct roots, not one")
         except ValueError as err:
             raise ConfigError(f"algebraic entry {e!r}: {err}") from err
+        return x
     return _num(e)
 
 
@@ -328,7 +339,7 @@ def cmd_analyze_seq(args) -> int:
     }
     if args.jordan:
         try:
-            out["jordan"] = jordan_dominance_check(seq.base, horizon)
+            out["jordan"] = jordan_dominance_check(seq.matrix(1), horizon)
         except ValueError as e:
             raise ConfigError(f"--jordan: {e}") from e
     print(json.dumps(out))

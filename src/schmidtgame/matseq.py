@@ -13,7 +13,7 @@ a primitive integer normal a with ||a / ||a|| - v|| <= e: that eigenvector,
 with a residual and gap (Davis-Kahan) e whose gap one more inertia count
 certifies, or, with e = 0, a single row or an exact kernel vector when the
 top eigenvalue is rational.  Slabs come from M_k^T (y - M_k x0).  A sequence
-computes ||M_k||_op alone and builds the top direction only when asked.
+solves each M_k once and builds the top direction from that solve when asked.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ from .geometry import DimensionMismatch, Vec, dot, norm2, over_common_den
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 Direction = Tuple[Tuple[int, ...], Fraction]  # (primitive integer normal a, error e)
+Rayleigh = Tuple[List[float], int, Tuple[int, ...], Fraction]  # _rayleigh's (w, s, a, r)
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers
@@ -158,10 +160,6 @@ def poly_eval(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def poly_deriv(p: Poly) -> Poly:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
 def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     a = list(a)
     b = poly_trim(list(b))
@@ -180,7 +178,7 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
 
 def sturm_chain(p: Poly) -> List[Poly]:
     chain = [poly_trim(list(p))]
-    d = poly_trim(poly_deriv(chain[0]))
+    d = poly_trim([i * c for i, c in enumerate(chain[0])][1:])
     if d:
         chain.append(d)
     while len(chain[-1]) > 1:
@@ -313,17 +311,19 @@ def _inertia(G: IntMatrix, E: int, x: Fraction) -> Tuple[int, int]:
     return above, len(rest)
 
 
-def _rayleigh(G: IntMatrix, E: int) -> Tuple[List[float], Tuple[int, ...], Fraction]:
-    """Float eigenvalues of symmetric G / E (ascending), its float top
-    eigenvector rationalised and scaled to integers a, and the exact
-    Rayleigh quotient a^T G a / (E a^T a)."""
-    arr = np.array([[x / E for x in row] for row in G], dtype=float)
-    s = max(1.0, np.abs(arr).max())
-    w, V = np.linalg.eigh(arr / s)
+def _rayleigh(G: IntMatrix, E: int) -> Rayleigh:
+    """(w, s, a, r) for symmetric G / E: its float eigenvalues w over E * 2^s,
+    ascending, with s = 0 unless an entry of G / E passes 2^1000 (its entries
+    or spectrum would overflow a double); its float top eigenvector
+    rationalised and scaled to integers a; and r = a^T G a / (E a^T a)."""
+    s = max(0, max(abs(x) for row in G for x in row).bit_length() - E.bit_length() - 1000)
+    arr = np.array([[x / (E << s) for x in row] for row in G], dtype=float)
+    m = max(1.0, np.abs(arr).max())
+    w, V = np.linalg.eigh(arr / m)
     u = [Fraction(float(x)).limit_denominator(10 ** 17) for x in V[:, int(np.argmax(w))]]
     (a,), _ = _integer_form((u,))
     aGa = sum(x * sum(map(mul, row, a)) for x, row in zip(a, G))
-    return [float(x * s) for x in w], a, Fraction(aGa, E * sum(x * x for x in a))
+    return [float(x * m) for x in w], s, a, Fraction(aGa, E * sum(x * x for x in a))
 
 
 def _primitive(x) -> Tuple[int, ...]:
@@ -334,83 +334,75 @@ def _primitive(x) -> Tuple[int, ...]:
     return tuple(c // g for c in X)
 
 
-def _gram_top_eigenvalue(N: IntMatrix, D: int) -> Tuple[Interval, bool]:
-    """Enclose the top eigenvalue of M^T M for M = N / D; flag exact rationals."""
+@dataclass
+class Norm:
+    """`operator_norm`'s solve for M = N / D: t = ||M||_op, M^T M = G / E,
+    `top` its top eigenvalue if found rational (else None), and `ray` =
+    `_rayleigh(G, E)` if the solve ran it, as it does unless `top` is found."""
+
+    t: Interval
+    G: IntMatrix
+    E: int
+    top: Optional[Fraction]
+    ray: Optional[Rayleigh] = None
+
+    @cached_property
+    def direction(self) -> Direction:
+        """Top right singular direction (a, e) of M, built on first use: a
+        primitive integer normal a, e >= ||a / ||a|| - v|| for a unit top right
+        singular vector v.  A rational `top` gives an exact kernel vector,
+        e = 0.  Otherwise a is the solve's rationalised float eigenvector u,
+        with Rayleigh quotient r, and e the Davis-Kahan bound: if exactly one
+        eigenvalue lies above g < r, the angle theta between u and the top
+        eigenvector has sin(theta) <= ||A u - r u|| / (||u|| (r - g)), and
+        the unit vectors differ by 2 sin(theta / 2) <= sqrt(2) sin(theta)."""
+        G, E, x = self.G, self.E, self.top
+        if x is None:
+            w, s, a, r = self.ray
+            g = Fraction((w[-1] + w[-2]) / 2) * 2 ** s
+            if g < r and _inertia(G, E, g) == (1, 0):
+                # ||A u - r u||^2 / ||u||^2 = ||q G a - p E a||^2 / ((q E)^2 a^T a)
+                p, q, aa = r.numerator, r.denominator, sum(ai * ai for ai in a)
+                res = sum((q * sum(map(mul, row, a)) - p * E * ai) ** 2 for row, ai in zip(G, a))
+                e = sqrt_interval(2 * Fraction(res, (q * E) ** 2 * aa) / (r - g) ** 2).hi
+                return _primitive(a), e
+            # no certified gap: the top eigenvalue may be repeated.  A rational
+            # eigenvalue of A = G / E is an integer over the common denominator
+            # q of its entries, so round the float one to that grid and test it.
+            q = E // math.gcd(E, *(x for row in G for x in row))
+            x = Fraction(round(Fraction(w[-1]) * 2 ** s * q), q)
+            above, mult = _inertia(G, E, x)
+            if above or not mult:
+                raise DegenerateDirection(
+                    "no certified gap below the top eigenvalue and no exact one; "
+                    "the top singular value may be a repeated irrational"
+                )
+        # the kernel of A - x*I is that of the integer matrix q*G - p*E*I
+        n, p, q = len(G), x.numerator, x.denominator
+        basis = kernel_basis(
+            as_matrix([[q * G[i][j] - (p * E if i == j else 0) for j in range(n)] for i in range(n)])
+        )
+        if not basis:
+            raise DegenerateDirection("exact eigenvalue with empty kernel")
+        return _primitive(basis[0]), Fraction(0)
+
+
+def operator_norm(N: IntMatrix, D: int) -> Norm:
+    """The one certified solve of ||M||_op for M = N / D, N a nonzero
+    integer matrix: t encloses the norm at relative width < 2^-_REL_BITS."""
     if not any(x for row in N for x in row):
         raise ValueError("zero matrix has no direction")
-    if len(N) == 1:
-        return Interval.point(Fraction(sum(x * x for x in N[0]), D * D)), True
-    return _top_eigenvalue(_product(transpose(N), N), D * D)
-
-
-def _singular_value(lam: Interval, exact: bool) -> Interval:
-    """Enclosure of sqrt(lam), the top singular value."""
-    if exact:
-        return sqrt_interval(lam.lo)
-    return Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi)
-
-
-def _top_direction(N: IntMatrix, D: int, lam: Interval, exact: bool) -> Direction:
-    """Top right singular direction of M = N / D as (a, e): a primitive
-    integer normal a and a bound e >= ||a / ||a|| - v|| for a unit top right
-    singular vector v, given the enclosure of the top eigenvalue of
-    M^T M = G / E.
-
-    A single row is its own direction, and an exact eigenvalue gives an
-    exact kernel vector: e = 0 on both.  Otherwise a is the rationalised
-    float eigenvector u, with Rayleigh quotient r, and e the Davis-Kahan
-    bound: if exactly one eigenvalue lies above g < r, the angle theta
-    between u and the top eigenvector has
-    sin(theta) <= ||A u - r u|| / (||u|| (r - g)), and the unit vectors
-    differ by 2 sin(theta / 2) <= sqrt(2) sin(theta).
-    """
-    if len(N) == 1:
-        return _primitive(N[0]), Fraction(0)
     G, E = _product(transpose(N), N), D * D
-    x = lam.lo
-    if not exact:
-        w, a, r = _rayleigh(G, E)
-        g = Fraction((w[-1] + w[-2]) / 2)
-        if g < r and _inertia(G, E, g) == (1, 0):
-            # ||A u - r u||^2 / ||u||^2 = ||q G a - p E a||^2 / ((q E)^2 a^T a)
-            p, q, aa = r.numerator, r.denominator, sum(ai * ai for ai in a)
-            res = sum((q * sum(map(mul, row, a)) - p * E * ai) ** 2 for row, ai in zip(G, a))
-            e = sqrt_interval(2 * Fraction(res, (q * E) ** 2 * aa) / (r - g) ** 2).hi
-            return _primitive(a), e
-        # no certified gap: the top eigenvalue may be repeated.  A rational
-        # eigenvalue of A = G / E is an integer over the common denominator q
-        # of its entries, so round the float one to that grid and test it.
-        q = E // math.gcd(E, *(x for row in G for x in row))
-        x = Fraction(round(Fraction(w[-1]) * q), q)
-        above, mult = _inertia(G, E, x)
-        if above or not mult:
-            raise DegenerateDirection(
-                "no certified gap below the top eigenvalue and no exact one; "
-                "the top singular value may be a repeated irrational"
-            )
-    # the kernel of A - x*I is that of the integer matrix q*G - p*E*I
-    n, p, q = len(G), x.numerator, x.denominator
-    basis = kernel_basis(
-        as_matrix([[q * G[i][j] - (p * E if i == j else 0) for j in range(n)] for i in range(n)])
-    )
-    if not basis:
-        raise DegenerateDirection("exact eigenvalue with empty kernel")
-    return _primitive(basis[0]), Fraction(0)
+    if len(N) == 1:  # G has rank one: its top eigenvalue is its trace
+        top = Fraction(sum(x * x for x in N[0]), E)
+        return Norm(sqrt_interval(top), G, E, top)
+    lam, exact, ray = _top_eigenvalue(G, E)
+    if exact:
+        return Norm(sqrt_interval(lam.lo), G, E, lam.lo, ray)
+    return Norm(Interval(sqrt_interval(lam.lo).lo, sqrt_interval(lam.hi).hi), G, E, None, ray)
 
 
-def operator_norm(M) -> Tuple[Interval, Direction]:
-    """Certified enclosure of the largest singular value and a top direction.
-
-    Returns (t, (a, e)) with t enclosing ||M||_op at relative width
-    < 2^-_REL_BITS and (a, e) the top right singular direction as
-    `_top_direction` gives it.
-    """
-    N, D = _integer_form(as_matrix(M))
-    lam, exact = _gram_top_eigenvalue(N, D)
-    return _singular_value(lam, exact), _top_direction(N, D, lam, exact)
-
-
-def _top_eigenvalue(G: IntMatrix, E: int) -> Tuple[Interval, bool]:
+def _top_eigenvalue(G: IntMatrix, E: int) -> Tuple[Interval, bool, Optional[Rayleigh]]:
     """Enclose the top eigenvalue of symmetric PSD A = G / E; flag exact rationals.
 
     The Rayleigh quotient r of a rationalised float eigenvector is a lower
@@ -420,28 +412,29 @@ def _top_eigenvalue(G: IntMatrix, E: int) -> Tuple[Interval, bool]:
     """
     n = len(G)
     if all(G[i][j] == 0 for i in range(n) for j in range(n) if i != j):
-        return Interval.point(Fraction(max(G[i][i] for i in range(n)), E)), True
-    r = _rayleigh(G, E)[2]
+        return Interval.point(Fraction(max(G[i][i] for i in range(n)), E)), True, None
+    ray = _rayleigh(G, E)
+    r = ray[3]
     above, mult = _inertia(G, E, r)
     if above == 0 and mult > 0:
-        return Interval.point(r), True
+        return Interval.point(r), True, ray
     upper = r * (1 + Fraction(1, 1 << _REL_BITS)) + Fraction(1, 1 << (2 * _REL_BITS))
     if r > 0 and above > 0 and _inertia(G, E, upper)[0] == 0:
-        return Interval(r, upper), False
+        return Interval(r, upper), False, ray
     # the top eigenvalue stays in (lo, hi]: above(lo) > 0 = above(hi)
     lo, hi = Fraction(0), Fraction(max(sum(abs(a) for a in row) for row in G), E)
     for _ in range(4 * _REL_BITS + hi.numerator.bit_length()):
         mid = (lo + hi) / 2
         above, mult = _inertia(G, E, mid)
         if above == 0 and mult > 0:
-            return Interval.point(mid), True
+            return Interval.point(mid), True, ray
         if above:
             lo = mid
         else:
             hi = mid
         if lo > 0 and (hi - lo) / lo < Fraction(1, 1 << _REL_BITS):
             break
-    return Interval(lo, hi), False
+    return Interval(lo, hi), False, ray
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +444,10 @@ def _top_eigenvalue(G: IntMatrix, E: int) -> Tuple[Interval, bool]:
 @dataclass
 class MatrixSequence:
     kind: str  # "powers" | "explicit" | "rows"
-    base: Optional[Matrix] = None
-    matrices: Optional[List[Matrix]] = None
     # (N, D) with M_k = N / D at index k - 1, built once per k
     _ints: List[Tuple[IntMatrix, int]] = field(default_factory=list, repr=False)
-    _t_cache: Dict[int, Interval] = field(default_factory=dict, repr=False)
-    _eig_cache: Dict[int, Tuple[Interval, bool]] = field(default_factory=dict, repr=False)
+    # operator_norm(N, D) of M_k, solved once per k
+    _norms: Dict[int, Norm] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def powers(M) -> "MatrixSequence":
@@ -464,7 +455,7 @@ class MatrixSequence:
         n, m = mat_shape(M)
         if n != m:
             raise ValueError("powers sequence needs a square matrix")
-        return MatrixSequence(kind="powers", base=M, _ints=[_integer_form(M)])
+        return MatrixSequence(kind="powers", _ints=[_integer_form(M)])
 
     @staticmethod
     def explicit(mats: Sequence) -> "MatrixSequence":
@@ -483,12 +474,12 @@ class MatrixSequence:
                 raise ValueError("the matrices of a sequence must have equal shapes")
             if all(x == 0 for row in m for x in row):
                 raise ValueError("zero row vector" if kind == "rows" else "zero matrix")
-        return MatrixSequence(kind=kind, matrices=mats, _ints=[_integer_form(m) for m in mats])
+        return MatrixSequence(kind=kind, _ints=[_integer_form(m) for m in mats])
 
     def __len__(self) -> int:
         if self.kind == "powers":
             raise TypeError("powers sequences are unbounded")
-        return len(self.matrices)
+        return len(self._ints)
 
     @property
     def finite(self) -> bool:
@@ -547,17 +538,15 @@ class MatrixSequence:
         return tuple(D * sum(map(mul, col, z)) / Dy for col in Nt)
 
     def t(self, k: int) -> Interval:
-        """||M_k||_op, certified; the top direction is not computed."""
-        if k not in self._t_cache:
-            lam, exact = _gram_top_eigenvalue(*self._integer(k))
-            self._eig_cache[k] = lam, exact
-            self._t_cache[k] = _singular_value(lam, exact)
-        return self._t_cache[k]
+        """||M_k||_op, certified by one operator_norm solve per k, kept."""
+        if k not in self._norms:
+            self._norms[k] = operator_norm(*self._integer(k))
+        return self._norms[k].t
 
     def v(self, k: int) -> Direction:
-        """Top right singular direction (a, e) of M_k, from the cached eigenvalue."""
+        """Top right singular direction (a, e) of M_k, from t(k)'s solve."""
         self.t(k)
-        return _top_direction(*self._integer(k), *self._eig_cache[k])
+        return self._norms[k].direction
 
 
 @dataclass(frozen=True)
@@ -595,7 +584,7 @@ def analyze_lacunarity(seq: MatrixSequence, horizon: int) -> LacunarityReport:
             return LacunarityReport(None, None, None, horizon, note)
         return LacunarityReport(True, ratio_lo, (1, 1), horizon)
     # Powers(M)
-    M = seq.base
+    M = seq.matrix(1)
     if not spectral_radius_gt_one(M):
         return LacunarityReport(
             False, None, None, horizon, "spectral radius <= 1 (certified)"

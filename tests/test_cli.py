@@ -18,6 +18,19 @@ def config(name):
     return os.path.join(CONFIG_DIR, name)
 
 
+def _cat_map(tmp_path, epochs=1):
+    """The hyperbolic toral automorphism [[2, 1], [1, 1]] on dim2_classic,
+    against the chase Bob; its norms grow by phi^2 > 2 = Q per index."""
+    cfg = json.loads(open(config("dim2_classic.json")).read())
+    cfg["sequence"]["base"] = [["2", "1"], ["1", "1"]]
+    cfg["Q"] = "2"
+    cfg["strategy"]["bob"] = "chase"
+    cfg["game"]["epochs"] = epochs
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestPlay:
     def test_pow3_wins(self, tmp_path, capsys):
         code = main(
@@ -49,14 +62,7 @@ class TestPlay:
             assert runs[0] == runs[2], name
 
     def test_cat_map_chase_wins_and_verifies(self, tmp_path, capsys):
-        # the hyperbolic toral automorphism [[2, 1], [1, 1]] against the chase
-        # Bob; its norms grow by phi^2 > 2 = Q per index
-        cfg = json.loads(open(config("dim2_classic.json")).read())
-        cfg["sequence"]["base"] = [["2", "1"], ["1", "1"]]
-        cfg["Q"] = "2"
-        cfg["strategy"]["bob"] = "chase"
-        path = tmp_path / "cat.json"
-        path.write_text(json.dumps(cfg))
+        path = _cat_map(tmp_path)
         out = tmp_path / "out"
         assert main(["play", "--config", str(path), "--seed", "1", "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -65,6 +71,16 @@ class TestPlay:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "replay: ok" and lines[1].startswith("margin: ok")
         assert lines[2:] == ["epoch 1: 1 certificates ok"]
+
+    def test_cat_map_past_the_range_of_a_double(self, tmp_path, capsys):
+        # sixteen epochs reach k = 784, where the entries of M_k^T M_k pass
+        # the range of a double: the float read of the spectrum is scaled
+        path = _cat_map(tmp_path, epochs=16)
+        out = tmp_path / "out"
+        assert main(["play", "--config", str(path), "--seed", "1", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["won"], summary["k_max"], summary["certificates"]) == (True, 784, 29)
+        assert main(["verify", str(out / "transcript.jsonl"), "--config", str(path)]) == 0
 
     def test_uncertified_mode_exit_4(self, tmp_path, capsys):
         cfg = json.loads(open(config("pow3_classic.json")).read())
@@ -428,6 +444,13 @@ class TestAnalyzeSeq:
         assert main(["analyze-seq", "--config", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["lacunary"], out["Q"], out["note"]) == (None, None, "fewer than two indices")
+
+    def test_cat_map_past_the_range_of_a_double(self, tmp_path, capsys):
+        # t_k passes 10^154 by k = 370, so M_k^T M_k has entries no double holds
+        argv = ["analyze-seq", "--config", str(_cat_map(tmp_path)), "--horizon", "800"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["lacunary"], out["decomposition"]) == (True, [1, 1])
 
     @pytest.mark.parametrize("horizon", ["1", "0", "-3"])
     def test_short_horizon_exit_4(self, capsys, horizon):
@@ -859,6 +882,20 @@ class TestBadapproxCmd:
             ("badapprox_sqrt2.json", "A", [[{"poly": "102", "lo": "1", "hi": "2"}]], "poly is not a list"),
             # a JSON float is the dyadic nearest it: 0.1 is not 1/10
             ("badapprox_rational.json", "x", [0.1], "config error: not an exact rational: 0.1"),
+            # x^3 - 2x has the roots -sqrt(2), 0 and sqrt(2) in [-2, 10]; and
+            # (x - 1)^2 (x - 3), whose double root 1 is an endpoint, two in [1, 4]
+            (
+                "badapprox_sqrt2.json",
+                "A",
+                [[{"poly": [0, -2, 0, 1], "lo": "-2", "hi": "10"}]],
+                "[lo, hi] holds 3 distinct roots, not one",
+            ),
+            (
+                "badapprox_sqrt2.json",
+                "A",
+                [[{"poly": [-3, 7, -5, 1], "lo": "1", "hi": "4"}]],
+                "[lo, hi] holds 2 distinct roots, not one",
+            ),
         ],
     )
     def test_malformed_input_exit_4(self, tmp_path, capsys, name, key, value, message):

@@ -107,20 +107,25 @@ class TestSpectralRadius:
         assert not spectral_radius_gt_one(((F(0), F(-1)), (F(1), F(-1))))
 
 
+def _solve(M):
+    """operator_norm of a Fraction matrix, through its integer pair."""
+    return operator_norm(*matseq._integer_form(M))
+
+
 class TestOperatorNorm:
     def test_diagonal(self):
-        enc, direction = operator_norm(((F(2), F(0)), (F(0), F(3))))
+        enc = _solve(((F(2), F(0)), (F(0), F(3)))).t
         assert enc.lo <= F(3) <= enc.hi
         assert enc.hi - enc.lo < F(1, 10 ** 6)
 
     def test_row_vector(self):
-        enc, _ = operator_norm(((F(3), F(4)),))
+        enc = _solve(((F(3), F(4)),)).t
         assert enc.lo <= F(5) <= enc.hi
 
     def test_rational_top_eigenvalue_is_exact(self):
         # M^T M = [[5, 4], [4, 5]]: the Rayleigh quotient is 9 itself, so
         # 9*I - M^T M has a zero pivot and the fallback proves 9 exact
-        enc, _ = operator_norm(((F(2), F(1)), (F(1), F(2))))
+        enc = _solve(((F(2), F(1)), (F(1), F(2)))).t
         assert enc == Interval.point(3)
 
 
@@ -232,7 +237,7 @@ class TestLazyDirection:
             for k in range(1, 21):
                 t = seq.t(k)
                 Mk = mat_pow(M, k)
-                assert t == operator_norm(Mk)[0]
+                assert t == _solve(Mk).t
                 # cross-check against the top root of the characteristic polynomial
                 p, chain, bound = _squarefree_sturm(charpoly(mat_mul(transpose(Mk), Mk)))
                 lo, hi = t.lo ** 2, t.hi ** 2
@@ -290,7 +295,7 @@ class TestLazyDirection:
             q = tuple(Q[j][top] for j in range(n))
             if next(c for c in q if c != 0) < 0:
                 q = tuple(-c for c in q)
-            _, (a, e) = operator_norm(M)
+            a, e = _solve(M).direction
             # ||a / ||a|| - q||^2 = 2 - 2 a.q / ||a|| <= e^2 up to the sign
             # of q, where a and q are unit-free: (a.q)^2 >= (1 - e^2/2)^2 a.a
             assert e < F(1, 10 ** 12)
@@ -307,12 +312,12 @@ class TestLazyDirection:
         real = matseq._rayleigh
 
         def poor(G, E):
-            w = real(G, E)[0]
-            return w, (1,) + (0,) * (len(G) - 1), F(G[0][0], E)
+            w, s = real(G, E)[:2]
+            return w, s, (1,) + (0,) * (len(G) - 1), F(G[0][0], E)
 
         monkeypatch.setattr(matseq, "_rayleigh", poor)
         A = mat_mul(transpose(DENSE), DENSE)
-        lam, exact = matseq._top_eigenvalue(tuple(tuple(int(a) for a in row) for row in A), 1)
+        lam, exact, _ = matseq._top_eigenvalue(tuple(tuple(int(a) for a in row) for row in A), 1)
         assert not exact and lam.lo > A[0][0]
         assert lam.width / lam.lo < F(1, 1 << 48)
         p, chain, bound = _squarefree_sturm(charpoly(A))
@@ -327,7 +332,7 @@ class TestLazyDirection:
     ])
     def test_one_by_one_direction_matches_operator_norm(self, seq):
         for k in range(1, 4 if seq.finite else 9):
-            assert seq.v(k) == operator_norm(seq.matrix(k))[1] == ((1,), 0)
+            assert seq.v(k) == _solve(seq.matrix(k)).direction == ((1,), 0)
 
     def test_one_by_one_direction_takes_no_square_root(self, monkeypatch):
         sqrts = _counting(monkeypatch, "sqrt_interval")
@@ -337,6 +342,35 @@ class TestLazyDirection:
         seq.v(5)
         assert len(sqrts) == before
 
+    def test_direction_reuses_the_norm_solve(self, monkeypatch):
+        # v(k) reads the Gram matrix and the Rayleigh read that t(k) made
+        seq = MatrixSequence.powers(DENSE)
+        seq.matrix(3)  # the integer power M_3, built before counting
+        rayleighs = _counting(monkeypatch, "_rayleigh")
+        products = _counting(monkeypatch, "_product")
+        seq.t(3)
+        seq.v(3)
+        assert (len(rayleighs), len(products)) == (1, 1)
+
+    def test_norm_past_the_range_of_a_double(self):
+        # the cat map's M_800^T M_800 has entries near 10^669: the float
+        # spectrum is read over E * 2^s with s > 0, and t and v still pass
+        # Sturm counts on the characteristic polynomial
+        seq = MatrixSequence.powers(((F(2), F(1)), (F(1), F(1))))
+        t, (a, e) = seq.t(800), seq.v(800)
+        assert seq._norms[800].ray[1] > 0
+        Mk = seq.matrix(800)
+        A = mat_mul(transpose(Mk), Mk)
+        p, chain, bound = _squarefree_sturm(charpoly(A))
+        lo, hi = t.lo ** 2, t.hi ** 2
+        assert sturm_count(chain, hi, bound) == 0
+        assert sturm_count(chain, lo, bound) > 0 or poly_eval(p, lo) == 0
+        # with a = cos(theta) v + sin(theta) w, the Rayleigh quotient of a is
+        # r >= lam cos^2(theta) and sin(theta) <= e, so lam <= r / (1 - e^2)
+        r = dot(a, mat_vec(A, a)) / norm2(a)
+        assert 0 < e < F(1, 10 ** 9)
+        assert sturm_count(chain, r / (1 - e * e), bound) == 0
+
     def test_direction_reuses_cached_eigenvalue(self, monkeypatch):
         eigens = _counting(monkeypatch, "_top_eigenvalue")
         seq = MatrixSequence.powers(DENSE)
@@ -344,7 +378,8 @@ class TestLazyDirection:
         assert len(eigens) == 1
         v = seq.v(3)
         assert len(eigens) == 1
-        assert (t, v) == operator_norm(mat_pow(DENSE, 3))
+        nm = _solve(mat_pow(DENSE, 3))
+        assert (t, v) == (nm.t, nm.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +503,8 @@ def _reference_norm(M):
         v = _reference_top_direction(M, lam, exact)
     except DegenerateDirection:
         v = DegenerateDirection
-    return matseq._singular_value(lam, exact), v
+    t = sqrt_interval(lam.lo)
+    return (t if exact else Interval(t.lo, sqrt_interval(lam.hi).hi)), v
 
 
 def _direction(seq, k):
@@ -547,7 +583,7 @@ class TestIntegerKernel:
             w, u, r = _reference_rayleigh(A)
             # a is u over the lcm of its denominators
             den = math.lcm(*(x.denominator for x in u))
-            assert matseq._rayleigh(G, E) == (w, tuple(int(x * den) for x in u), r)
+            assert matseq._rayleigh(G, E) == (w, 0, tuple(int(x * den) for x in u), r)
 
     @pytest.mark.parametrize("seed", [1, 7919])
     def test_norms_and_directions_match_fraction_reference(self, seed):

@@ -3,7 +3,10 @@ bind; a refactor that deletes or renames one must fail here, not only under
 `perfbench/run.py --trace 1`."""
 
 import importlib.util
+from fractions import Fraction as F
 from pathlib import Path
+
+from schmidtgame.matseq import MatrixSequence
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,3 +31,17 @@ def test_every_traced_name_resolves():
             continue
         assert callable(original), f"{module}.{attr}"
     assert missing == []
+
+
+def test_norm_miss_is_one_operator_norm_span():
+    # a miss of MatrixSequence.t solves through the traced operator_norm
+    # once; the second t(3) reads the record
+    tracer = _tracing().Tracer()
+    seq = MatrixSequence.powers(((F(2), F(1), F(0)), (F(1), F(1), F(1)), (F(0), F(1), F(3))))
+    with tracer.installed():
+        seq.t(3)
+        seq.t(3)
+    spans = [(tracer.names[nid], parent) for nid, _, _, parent in tracer.spans]
+    t_spans = [i for i, (name, _) in enumerate(spans) if name == "matseq.MatrixSequence.t"]
+    assert [p for name, p in spans if name == "matseq.operator_norm"] == [t_spans[0]]
+    assert tracer.metrics()["matseq.t.hit_ratio"] == 0.5

@@ -810,7 +810,7 @@ class TestNormWalk:
         inputs = cli._game_inputs(cfg, None)
         with pytest.raises(CertificateError, match="does not end by k = 10000"):
             certified_game(**inputs)
-        assert len(inputs["seq"]._t_cache) <= 10000
+        assert len(inputs["seq"]._norms) <= 10000
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["play", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
